@@ -22,14 +22,6 @@ pub struct PerfRun {
     pub peak_queue_depth: u64,
     /// Sanity anchor: mean response time must match the science runs.
     pub mean_response_ms: f64,
-    /// Partitioned runs: events executed across partitions ÷ merged
-    /// serial-order events (1.0 for serial rows). The pre-split arrival
-    /// feed keeps this at or below 1.0; the old replicated-arrival design
-    /// measured near the partition count.
-    pub replay_amplification: f64,
-    /// Partitioned runs: flat-encoded journal bytes streamed from the
-    /// partitions to the merge (0 for serial rows).
-    pub journal_bytes: u64,
 }
 
 /// A full perf report — the contents of one `BENCH_N.json`.
@@ -58,8 +50,7 @@ impl PerfReport {
             s.push_str(&format!(
                 "    {{\"label\": {}, \"cached\": {}, \"requests\": {}, \"events\": {}, \
                  \"wall_secs\": {}, \"events_per_sec\": {}, \"peak_queue_depth\": {}, \
-                 \"mean_response_ms\": {}, \"replay_amplification\": {}, \
-                 \"journal_bytes\": {}}}{}\n",
+                 \"mean_response_ms\": {}}}{}\n",
                 quote(&r.label),
                 r.cached,
                 r.requests,
@@ -68,8 +59,6 @@ impl PerfReport {
                 r.events_per_sec,
                 r.peak_queue_depth,
                 r.mean_response_ms,
-                r.replay_amplification,
-                r.journal_bytes,
                 if i + 1 < self.runs.len() { "," } else { "" },
             ));
         }
@@ -88,7 +77,9 @@ impl PerfReport {
     }
 
     /// Parse a report emitted by [`PerfReport::to_json`] (or any JSON with
-    /// the same shape).
+    /// the same shape). Unknown keys are ignored, so baselines carrying the
+    /// retired BENCH_8–BENCH_10 partitioned-run columns (replay
+    /// amplification, journal size) still parse.
     pub fn from_json(src: &str) -> Result<PerfReport, String> {
         let v = Json::parse(src)?;
         let runs = v
@@ -105,15 +96,6 @@ impl PerfReport {
                     events_per_sec: r.get("events_per_sec")?.as_f64()?,
                     peak_queue_depth: r.get("peak_queue_depth")?.as_f64()? as u64,
                     mean_response_ms: r.get("mean_response_ms")?.as_f64()?,
-                    // Added in BENCH_8; default so older baselines still parse.
-                    replay_amplification: r
-                        .get("replay_amplification")
-                        .and_then(|v| v.as_f64())
-                        .unwrap_or(1.0),
-                    journal_bytes: r
-                        .get("journal_bytes")
-                        .and_then(|v| v.as_f64())
-                        .unwrap_or(0.0) as u64,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -439,8 +421,6 @@ mod tests {
                     events_per_sec: 8642.0,
                     peak_queue_depth: 17,
                     mean_response_ms: 21.5,
-                    replay_amplification: 1.0,
-                    journal_bytes: 0,
                 },
                 PerfRun {
                     label: "RAID5".into(),
@@ -451,8 +431,6 @@ mod tests {
                     events_per_sec: 7200.0,
                     peak_queue_depth: 40,
                     mean_response_ms: 35.0,
-                    replay_amplification: 0.97,
-                    journal_bytes: 123456,
                 },
             ],
             total_events: 13321,
@@ -502,8 +480,6 @@ mod tests {
             events_per_sec: 1.0, // would be a huge "regression" if compared
             peak_queue_depth: 1,
             mean_response_ms: 1.0,
-            replay_amplification: 1.0,
-            journal_bytes: 0,
         });
         assert!(check(&cur, &base, 0.15).is_ok());
     }
@@ -511,15 +487,27 @@ mod tests {
     #[test]
     fn pre_bench8_runs_parse_with_defaults() {
         // A run object without the BENCH_8 instrumentation keys (older
-        // baselines) must still parse, with neutral defaults.
+        // baselines) must still parse.
         let src = "{\"bench_id\": 6, \"workload\": \"w\", \"scale\": 1, \"runs\": [\
                    {\"label\": \"Base\", \"cached\": false, \"requests\": 1, \"events\": 2, \
                    \"wall_secs\": 0.1, \"events_per_sec\": 20, \"peak_queue_depth\": 3, \
                    \"mean_response_ms\": 4.5}], \"total_events\": 2, \
                    \"total_wall_secs\": 0.1, \"total_events_per_sec\": 20}";
         let report = PerfReport::from_json(src).expect("old format parses");
-        assert_eq!(report.runs[0].replay_amplification, 1.0);
-        assert_eq!(report.runs[0].journal_bytes, 0);
+        assert_eq!(report.runs[0].mean_response_ms, 4.5);
+
+        // The committed BENCH_10.json still carries the retired
+        // partitioned-run columns: it must parse, and `--check` against it
+        // must compare every one of its rows.
+        let bench10 = PerfReport::from_json(include_str!("../../../BENCH_10.json"))
+            .expect("BENCH_10.json parses");
+        assert!(!bench10.runs.is_empty());
+        let table = check(&bench10, &bench10, 0.15).expect("a baseline passes against itself");
+        assert_eq!(
+            table.lines().count(),
+            bench10.runs.len() + 1,
+            "one compared row per BENCH_10 run, plus TOTAL"
+        );
     }
 
     #[test]

@@ -1,27 +1,25 @@
 //! Fleet execution: route tenant substreams, pre-split by virtual array,
 //! simulate VAs serially or in parallel, merge in VA index order.
 //!
-//! Parallelism here generalizes `run_par`'s partition unit from
-//! redundancy-group-within-one-array to **VA-within-a-fleet**: virtual
-//! arrays share no simulator state (each is its own `Simulator` over its
-//! own pre-split arrival feed), so workers steal whole VAs off an atomic
-//! cursor and write results back by VA index. The merge consumes results
-//! in VA index order regardless of completion order, which makes the
-//! parallel fleet run byte-identical to the serial one — the same
-//! commit-order-merge argument as `run_par`, one level up.
+//! The virtual array is the unit of execution: VAs share no simulator
+//! state (each is its own `Simulator` over its own pre-split arrival
+//! feed), so the crate's one worker pool (`crate::pool::map`) runs whole
+//! VAs and returns their outcomes by VA index. The merge consumes them in
+//! that order regardless of completion order, which makes the parallel
+//! fleet run byte-identical to the serial one.
 //!
 //! Warm-start pools are shared per **disk class**: every VA's `SimConfig`
 //! carries the fleet seed and its class's geometry and seek curve, which
-//! are exactly the parameters [`WarmDisks::matches`] checks, so one pool
-//! per class warm-starts every VA of that class (cold fallback remains
+//! are exactly the parameters [`crate::WarmDisks::matches`] checks, so one
+//! pool per class warm-starts every VA of that class (cold fallback remains
 //! byte-identical by the single-array warm-start contract).
 
 use super::alloc::{allocate, FleetPlan};
 use super::config::FleetConfig;
 use super::report::{FleetReport, VaOutcome};
 use crate::config::SimConfig;
-use crate::sim::{RunStats, Simulator, WarmDisks};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::pool;
+use crate::sim::{RunStats, WarmPools};
 use tracegen::{route, SynthSpec, TenantStream, Trace};
 
 /// One virtual array's ready-to-run inputs.
@@ -106,8 +104,8 @@ fn build_jobs(fleet: &FleetConfig, plan: &FleetPlan) -> Result<Vec<VaJob>, Strin
 
 /// Simulate one VA job (warm-started from its class pool) and collect its
 /// outcome.
-fn run_job(job: &VaJob, warm: &WarmDisks, n_tenants: u16) -> Result<VaOutcome, String> {
-    let mut sim = Simulator::try_new_warm(job.config.clone(), &job.trace, warm)?;
+fn run_job(job: &VaJob, pools: &WarmPools, n_tenants: u16) -> Result<VaOutcome, String> {
+    let mut sim = pools.simulator(job.config.clone(), &job.trace)?;
     sim.set_classes(job.classes.clone(), n_tenants)?;
     let (report, stats, classes) = sim.run_classed();
     Ok(VaOutcome {
@@ -127,76 +125,19 @@ pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, Ru
     let n_tenants = fleet.tenants.len() as u16;
 
     // One warm pool per disk class, sized for the class's largest VA.
-    let mut pools: Vec<(String, u32, WarmDisks)> = Vec::new();
-    for (v, va) in plan.vas.iter().enumerate() {
-        let size = jobs[v].config.total_disks(va.data_disks);
-        match pools.iter_mut().find(|(name, ..)| *name == va.disk_class) {
-            Some(p) if p.1 >= size => {}
-            Some(p) => {
-                p.1 = size;
-                p.2 = WarmDisks::new(&jobs[v].config, size);
-            }
-            None => pools.push((
-                va.disk_class.clone(),
-                size,
-                WarmDisks::new(&jobs[v].config, size),
-            )),
-        }
-    }
-    let pool_of = |va: &super::alloc::VaPlan| {
-        pools
-            .iter()
-            .find(|(name, ..)| *name == va.disk_class)
-            .map(|(.., w)| w)
-            // simlint::allow(panic-policy): every VA's class was pooled above
-            .expect("class pool exists")
-    };
-
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        threads
-    };
-    let workers = threads.min(jobs.len()).max(1);
-
-    let mut out: Vec<Option<Result<VaOutcome, String>>> = Vec::with_capacity(jobs.len());
-    out.resize_with(jobs.len(), || None);
-    if workers == 1 {
-        for (v, job) in jobs.iter().enumerate() {
-            out[v] = Some(run_job(job, pool_of(&plan.vas[v]), n_tenants));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, Result<VaOutcome, String>)> = Vec::new();
-                        loop {
-                            let v = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(job) = jobs.get(v) else { break };
-                            local.push((v, run_job(job, pool_of(&plan.vas[v]), n_tenants)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                let local = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                for (v, r) in local {
-                    out[v] = Some(r);
-                }
-            }
-        });
-    }
+    let pools = WarmPools::new(
+        jobs.iter()
+            .map(|job| (&job.config, job.config.total_disks(job.trace.n_disks))),
+    );
+    let out = pool::map(jobs.len(), threads, |v| {
+        run_job(&jobs[v], &pools, n_tenants)
+    });
 
     // Merge in VA index order — completion order never leaks into the
     // report, which is what keeps every thread count byte-identical.
     let mut outcomes = Vec::with_capacity(out.len());
-    for (v, slot) in out.into_iter().enumerate() {
-        // simlint::allow(panic-policy): the cursor hands out every index exactly once
-        let r = slot.expect("missing fleet slot");
-        outcomes.push(r.map_err(|e| format!("virtual array {:?}: {e}", plan.vas[v].name))?);
+    for (r, va) in out.into_iter().zip(&plan.vas) {
+        outcomes.push(r.map_err(|e| format!("virtual array {:?}: {e}", va.name))?);
     }
     Ok(FleetReport::assemble(fleet, &plan, outcomes))
 }

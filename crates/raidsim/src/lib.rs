@@ -30,6 +30,7 @@ pub mod analytic;
 pub mod config;
 pub mod fleet;
 pub mod mapping;
+mod pool;
 pub mod report;
 pub mod sim;
 pub mod sweep;

@@ -223,13 +223,6 @@ impl<'t> Simulator<'t> {
             self.engine
                 .schedule_after(self.destage_period_ns, Ev::DestageTick { array });
         }
-        // Partition mode: `inflight` above counts only this partition's
-        // requests, so the local chain may end while the serial chain (which
-        // sees global in-flight work) would keep ticking. Journal the
-        // decision; the merge extends the chain virtually when needed.
-        if let Some(p) = self.par.as_deref_mut() {
-            p.note.tick_resched = Some(work_left);
-        }
     }
 
     pub(super) fn issue_destage_group(&mut self, array: u32, group: DestageGroup) {

@@ -63,14 +63,8 @@ impl<'t> Simulator<'t> {
         }
         // Queue depths at the dispatch decision, the op about to be served
         // included.
-        let mut depths = [0.0f64; 3];
         for band in Band::ALL {
-            let d = self.queues[g].band_len(band) as f64;
-            self.sched_qdepth[band.index()].push(d);
-            depths[band.index()] = d;
-        }
-        if let Some(p) = self.par.as_deref_mut() {
-            p.note.pushes.push(StatPush::QDepth(depths));
+            self.sched_qdepth[band.index()].push(self.queues[g].band_len(band) as f64);
         }
         let arm = self.disks[g].current_cylinder();
         let Some((_, token)) = self.queues[g].pop(arm) else {
@@ -91,11 +85,8 @@ impl<'t> Simulator<'t> {
             self.ops.band[t],
             self.ops.role[t],
         );
-        let seek_cyl = self.disks[gdisk as usize].arm_distance(block) as f64;
-        self.sched_seek_cyl.push(seek_cyl);
-        if let Some(p) = self.par.as_deref_mut() {
-            p.note.pushes.push(StatPush::Seek(seek_cyl));
-        }
+        self.sched_seek_cyl
+            .push(self.disks[gdisk as usize].arm_distance(block) as f64);
         let timing = self.disks[gdisk as usize].plan(now, block, nblocks, kind);
         self.disk_counts.add(gdisk as usize, 1);
         self.disk_ops += 1;

@@ -18,9 +18,8 @@
 //!                               latent error──▶ DataLoss (sticky)
 //! ```
 //!
-//! All state is per-array (plus per-disk latent-error sets), so a
-//! partitioned run owning an array range resolves its faults exactly as the
-//! serial loop does; cross-array totals are plain sums.
+//! All state is per-array (plus per-disk latent-error sets); cross-array
+//! totals are plain sums.
 
 use super::*;
 use std::collections::BTreeSet;
@@ -143,8 +142,7 @@ pub(super) struct FaultState {
     /// Per physical disk: blocks currently marred by an undiscovered latent
     /// sector error.
     pub(super) latent: Vec<BTreeSet<u64>>,
-    // Cross-array totals (per-array events sum into them; the parallel
-    // merge adds partition totals into a zeroed parent).
+    // Cross-array totals (per-array events sum into them).
     pub(super) disk_failures: u64,
     pub(super) spares_used: u64,
     pub(super) rebuild_blocks: u64,

@@ -45,7 +45,6 @@ mod admission;
 mod cached;
 mod dispatch;
 mod faults;
-mod par;
 mod planning;
 mod reporting;
 mod slab;
@@ -70,7 +69,6 @@ use std::collections::VecDeque;
 use tracegen::{AccessType, Trace};
 
 use faults::{FaultKind, FaultState};
-use par::{ParState, StatPush};
 use planning::{OrgPlanner, Planner};
 
 /// What a disk operation is doing, which determines what happens when it
@@ -290,39 +288,28 @@ enum Ev {
 /// harness, deliberately kept out of [`SimReport`].
 #[derive(Clone, Debug)]
 pub struct RunStats {
-    /// Total events dispatched by the engine — for a parallel run, summed
-    /// across partitions (the actual work performed, virtual merge-extension
-    /// ticks excluded).
+    /// Total events dispatched by the engine — for a fleet run, summed
+    /// across virtual arrays.
     pub events_processed: u64,
     /// Future-event-list high-water mark (peak simultaneously pending; max
-    /// over partitions for a parallel run).
+    /// over virtual arrays for a fleet run).
     pub peak_pending: usize,
-    /// Per-partition counters of a parallel run; empty for a serial run.
+    /// Per-unit counters of a fleet run, one per virtual array in VA index
+    /// order; empty for a single-simulator run.
     pub partitions: Vec<PartStats>,
-    /// Total flat-encoded journal bytes streamed from partitions to the
-    /// merge (0 for a serial run).
-    pub journal_bytes: u64,
-    /// Events executed across partitions ÷ events the merged serial
-    /// schedule contains: how much redundant replay the partitioning paid.
-    /// 1.0 means every executed event was owned work (serial runs report
-    /// exactly 1.0).
+    /// Events executed ÷ events owned. Every unit simulates exactly its own
+    /// arrivals and nothing is replayed, so this is 1.0 by construction.
     pub replay_amplification: f64,
 }
 
-/// One partition's share of a parallel run (see [`RunStats::partitions`]).
+/// One virtual array's share of a fleet run (see
+/// [`RunStats::partitions`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PartStats {
-    /// Owned array range `[lo, hi)`.
-    pub arrays: (u32, u32),
-    /// Trace arrivals owned (pre-split list length).
+    /// Trace arrivals the unit owned (its pre-split feed length).
     pub arrivals_owned: u64,
-    /// Events the partition executed (arrivals + its queue pops).
+    /// Events the unit executed (arrivals + its queue pops).
     pub events_processed: u64,
-    /// Exec frames journaled (= events executed, kept separate as a
-    /// cross-check on the journal stream).
-    pub journal_frames: u64,
-    /// Flat-encoded journal bytes this partition produced.
-    pub journal_bytes: u64,
 }
 
 /// Pre-built disk models for warm-starting construction. The per-disk
@@ -359,13 +346,44 @@ impl WarmDisks {
         }
     }
 
-    /// Whether a configuration can reuse this pool's drives.
     /// Whether `cfg` would produce drives identical to this pool's — the
     /// pool is reusable for any run agreeing on seed, geometry, and seek
     /// curve (a *disk class*, in fleet terms), regardless of organization,
     /// cache, or fault plan.
     pub fn matches(&self, cfg: &SimConfig) -> bool {
         self.seed == cfg.seed && self.geometry == cfg.geometry && self.seek == cfg.seek
+    }
+}
+
+/// One [`WarmDisks`] pool per disk class ([`WarmDisks::matches`]), each
+/// sized for the largest member that uses it. Built once before a sweep or
+/// fleet run and shared by reference across its workers.
+pub(crate) struct WarmPools(Vec<WarmDisks>);
+
+impl WarmPools {
+    /// Pool every `(config, total disks)` member; a member larger than its
+    /// class's pool so far rebuilds that pool at the larger size.
+    pub(crate) fn new<'c>(members: impl IntoIterator<Item = (&'c SimConfig, u32)>) -> WarmPools {
+        let mut pools: Vec<WarmDisks> = Vec::new();
+        for (cfg, size) in members {
+            match pools.iter_mut().find(|w| w.matches(cfg)) {
+                Some(w) if w.disks.len() >= size as usize => {}
+                Some(w) => *w = WarmDisks::new(cfg, size),
+                None => pools.push(WarmDisks::new(cfg, size)),
+            }
+        }
+        WarmPools(pools)
+    }
+
+    /// Build a simulator for `cfg`, warm-started from its class's pool
+    /// (cold when no pool matches). Byte-identical results either way.
+    pub(crate) fn simulator<'t>(
+        &self,
+        cfg: SimConfig,
+        trace: &'t Trace,
+    ) -> Result<Simulator<'t>, String> {
+        let warm = self.0.iter().find(|w| w.matches(&cfg));
+        Simulator::try_new_inner(cfg, trace, warm)
     }
 }
 
@@ -376,16 +394,6 @@ impl WarmDisks {
 struct ClassState {
     of_record: Vec<u16>,
     reports: Vec<ClassReport>,
-}
-
-/// Partition scope handed to construction by the parallel runner: the
-/// owned array range and arrival share, used to size the future-event list
-/// and entity slabs from the partition's own workload and to skip building
-/// full-size NV caches for foreign arrays (which receive no events).
-struct PartScope {
-    lo: u32,
-    hi: u32,
-    own_arrivals: usize,
 }
 
 /// Trace-driven simulator for one configuration. Construct with
@@ -466,11 +474,6 @@ pub struct Simulator<'t> {
     sched_seek_cyl: Welford,
     sched_qdepth: [Welford; 3],
 
-    // Partition-mode state (parallel runs only): owned array range plus the
-    // per-event journal note the merge replays. `None` in serial runs, so
-    // the hot paths pay one branch.
-    par: Option<Box<ParState>>,
-
     // Request-class tagging (fleet tenants); `None` unless set_classes was
     // called, so untagged runs pay one branch per completion.
     classes: Option<Box<ClassState>>,
@@ -511,7 +514,7 @@ impl<'t> Simulator<'t> {
     /// Fallible constructor: validates `cfg` against `trace` and returns
     /// the configuration error instead of panicking.
     pub fn try_new(cfg: SimConfig, trace: &'t Trace) -> Result<Simulator<'t>, String> {
-        Self::try_new_inner(cfg, trace, None, None)
+        Self::try_new_inner(cfg, trace, None)
     }
 
     /// Like [`Simulator::try_new`], but reusing pre-built disk models from
@@ -522,13 +525,12 @@ impl<'t> Simulator<'t> {
         trace: &'t Trace,
         warm: &WarmDisks,
     ) -> Result<Simulator<'t>, String> {
-        Self::try_new_inner(cfg, trace, None, Some(warm))
+        Self::try_new_inner(cfg, trace, Some(warm))
     }
 
     fn try_new_inner(
         cfg: SimConfig,
         trace: &'t Trace,
-        scope: Option<&PartScope>,
         warm: Option<&WarmDisks>,
     ) -> Result<Simulator<'t>, String> {
         cfg.validate()?;
@@ -565,16 +567,7 @@ impl<'t> Simulator<'t> {
             .cache
             .map(|c| nvcache::blocks_for_mb(c.size_mb, cfg.geometry.block_bytes as u64) as usize);
         let caches = match cache_blocks {
-            Some(blocks) => (0..arrays)
-                .map(|a| {
-                    // A partition only drives its own arrays; foreign arrays
-                    // get minimum-size placeholder caches that are never
-                    // touched (no foreign arrivals, no foreign ticks) and
-                    // are discarded by the merge's hardware graft.
-                    let foreign = scope.is_some_and(|s| !(s.lo..s.hi).contains(&a));
-                    NvCache::new(if foreign { 2 } else { blocks })
-                })
-                .collect(),
+            Some(blocks) => (0..arrays).map(|_| NvCache::new(blocks)).collect(),
             None => Vec::new(),
         };
         let parity_cached = planner.caches_parity(cfg.cache.is_some());
@@ -688,14 +681,12 @@ impl<'t> Simulator<'t> {
             None => None,
         };
 
-        // Pre-size the future-event list and entity slabs from the records
-        // this simulator will actually feed — the whole trace serially, the
-        // partition's own pre-split share in a parallel run. Pending events
-        // and live entities scale with in-flight requests, a small fraction
-        // of that count, so cap the reservation. Purely an allocation hint —
-        // results are identical without it.
-        let own_records = scope.map_or(trace.records.len(), |s| s.own_arrivals);
-        let ev_cap = (own_records / 4).clamp(64, 1 << 14);
+        // Pre-size the future-event list and entity slabs from the trace
+        // length. Pending events and live entities scale with in-flight
+        // requests, a small fraction of that count, so cap the reservation.
+        // Purely an allocation hint — results are identical without it.
+        let records = trace.records.len();
+        let ev_cap = (records / 4).clamp(64, 1 << 14);
         // Size the calendar-queue bucket width from the workload: each record
         // expands to a handful of events, so mean event spacing is about
         // the horizon over 8× the record count. Clamp to at most ~131 µs:
@@ -703,11 +694,9 @@ impl<'t> Simulator<'t> {
         // response time), so narrow buckets keep the per-pop in-bucket
         // scan at O(1) — widths near the millisecond arrival spacing
         // measured ~30% slower on the OLTP traces. The pop order, and
-        // therefore every result, is identical for any width (which is also
-        // why partitions may size from their own share without perturbing
-        // the merged byte-identical result).
+        // therefore every result, is identical for any width.
         let width_ns = if horizon_ns > 0 {
-            (horizon_ns / (own_records as u64 * 8).max(1)).clamp(1 << 10, 1 << 17)
+            (horizon_ns / (records as u64 * 8).max(1)).clamp(1 << 10, 1 << 17)
         } else {
             0
         };
@@ -768,7 +757,6 @@ impl<'t> Simulator<'t> {
             bg_until: vec![SimTime::ZERO; total_disks],
             sched_seek_cyl: Welford::new(),
             sched_qdepth: [Welford::new(); 3],
-            par: None,
             classes: None,
             sample_period_ns,
             last_sample_ns: 0,
@@ -791,8 +779,6 @@ impl<'t> Simulator<'t> {
     /// class of record `i`, each `< n_classes`). The fleet layer uses one
     /// class per tenant; [`Simulator::run_classed`] then returns one
     /// [`ClassReport`] per class alongside the unchanged [`SimReport`].
-    /// Tagged runs execute serially (`run_par` falls back): class pushes
-    /// are not journaled, so a partitioned run would silently drop them.
     pub fn set_classes(&mut self, of_record: Vec<u16>, n_classes: u16) -> Result<(), String> {
         if of_record.len() != self.trace.records.len() {
             return Err(format!(
@@ -867,8 +853,7 @@ impl<'t> Simulator<'t> {
             self.engine.schedule_at(at, Ev::Fault(kind));
         }
         // Background scrub sweeps start at time zero, one per array, after
-        // the plan events (roots at equal times pop in scheduling order; the
-        // partition runner and the merge replicate this exact order).
+        // the plan events (roots at equal times pop in scheduling order).
         if self
             .fault
             .as_ref()
@@ -895,7 +880,6 @@ impl<'t> Simulator<'t> {
             events_processed: self.engine.events_processed(),
             peak_pending: self.engine.peak_pending(),
             partitions: Vec::new(),
-            journal_bytes: 0,
             replay_amplification: 1.0,
         };
         let classes = self.classes.take().map_or(Vec::new(), |c| c.reports);
@@ -903,19 +887,20 @@ impl<'t> Simulator<'t> {
     }
 
     /// One step of the unified event loop: the next queue event or the next
-    /// feed arrival, whichever is earlier. Arrivals are never *scheduled* —
+    /// trace arrival, whichever is earlier. Arrivals are never *scheduled* —
     /// the trace is already a time-sorted stream, so the loop merges it
     /// with the future-event list here, saving a queue round-trip per
-    /// record and letting a partition consume exactly its own arrivals.
+    /// record.
     ///
     /// Tie rule: an arrival fires before queue events carrying the same
     /// timestamp. The rule only matters when an arrival's nanosecond
     /// timestamp exactly equals an internal event's (rounded exponential
     /// inter-arrival sums vs. service-time sums — coincidences the pinned
-    /// determinism hashes would surface); what it must be is *identical in
-    /// serial and partition runs*, which a fixed rule guarantees.
+    /// determinism hashes would surface); what it must be is fixed, so every
+    /// run of one configuration interleaves identically.
     fn next_step(&mut self) -> Option<Ev> {
-        match (self.peek_feed(), self.engine.next_time()) {
+        let arrival = self.trace.records.get(self.next_arrival).map(|r| r.at);
+        match (arrival, self.engine.next_time()) {
             (Some(a), Some(q)) if a > q => self.engine.next_event(),
             (None, Some(_)) => self.engine.next_event(),
             (Some(a), _) => {
@@ -926,41 +911,10 @@ impl<'t> Simulator<'t> {
         }
     }
 
-    /// Arrival time at the head of this simulator's feed: the global
-    /// cursor serially, the partition's own pre-split list in a parallel
-    /// run.
-    fn peek_feed(&self) -> Option<SimTime> {
-        match self.par.as_deref() {
-            Some(p) => p.own.get(p.pos).map(|&i| self.trace.records[i as usize].at),
-            None => self.trace.records.get(self.next_arrival).map(|r| r.at),
-        }
-    }
-
-    /// Consume the head of the arrival feed, returning the global trace
-    /// index of the record to process.
-    pub(super) fn pop_feed(&mut self) -> usize {
-        match self.par.as_deref_mut() {
-            Some(p) => {
-                let i = p.own[p.pos] as usize;
-                p.pos += 1;
-                i
-            }
-            None => {
-                let i = self.next_arrival;
-                self.next_arrival += 1;
-                i
-            }
-        }
-    }
-
-    /// Whether this simulator's feed still holds arrivals (the partition's
-    /// own share in a parallel run). Drives the destage-tick keep-alive and
-    /// the sampler.
+    /// Whether trace arrivals remain. Drives the destage-tick keep-alive
+    /// and the sampler.
     pub(super) fn arrivals_remaining(&self) -> bool {
-        match self.par.as_deref() {
-            Some(p) => p.pos < p.own.len(),
-            None => self.next_arrival < self.trace.records.len(),
-        }
+        self.next_arrival < self.trace.records.len()
     }
 
     fn dispatch(&mut self, ev: Ev) {

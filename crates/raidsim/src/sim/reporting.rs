@@ -101,19 +101,6 @@ impl<'t> Simulator<'t> {
             self.phase_writes.push(&r.phase);
         }
         self.inflight -= 1;
-        // Partition mode: journal the completion so the merge can replay
-        // every statistics push in the merged (serial) event order — the
-        // accumulators are order-sensitive, so this is what makes the
-        // parallel report byte-identical.
-        if let Some(p) = self.par.as_deref_mut() {
-            p.note.inflight_delta -= 1;
-            p.note.pushes.push(StatPush::Complete {
-                ms,
-                is_read: r.is_read,
-                window: r.window,
-                phase: r.phase,
-            });
-        }
         if self.event_log.is_some() {
             let p = &r.phase;
             let line = format!(

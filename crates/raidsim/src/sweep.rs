@@ -8,9 +8,9 @@
 //! being rebuilt per point.
 
 use crate::config::SimConfig;
+use crate::pool;
 use crate::report::SimReport;
-use crate::sim::{Simulator, WarmDisks};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::sim::WarmPools;
 use tracegen::Trace;
 
 /// One sweep point: a label plus its configuration and input trace (traces
@@ -34,122 +34,56 @@ impl<'a> NamedRun<'a> {
 /// Run every sweep point, `threads`-wide, returning reports in input order.
 /// `threads = 0` uses the machine's available parallelism.
 ///
-/// A point whose configuration fails [`Simulator::try_new`] — or whose
-/// simulation panics outright (say, a malformed trace indexing past the
-/// array) — yields `Err(message)` in its result slot instead of poisoning
-/// the whole sweep: one bad grid corner must not discard the other N−1
-/// finished simulations. Before the per-point `catch_unwind`, a panicking
-/// point killed its whole worker: the worker's already-finished local
-/// results were dropped, and the join re-raised the panic so *every* point
-/// of the sweep was lost.
+/// A point whose configuration fails [`crate::Simulator::try_new`] — or
+/// whose simulation panics outright (say, a malformed trace indexing past
+/// the array) — yields `Err(message)` in its result slot instead of
+/// poisoning the whole sweep: one bad grid corner must not discard the
+/// other N−1 finished simulations.
 ///
-/// Work distribution is a work-stealing loop over an atomic next-index
-/// cursor: each worker repeatedly claims the lowest unclaimed run. Unlike
-/// static chunking — where one chunk of slow runs (e.g. RAID5 at high
-/// load) idles every other worker while its owner grinds through it — the
-/// stragglers end up spread across whoever is free, so wall time tracks
-/// the total work, not the unluckiest chunk.
-///
-/// Which *thread* executes a run never affects its result: every run is an
-/// independent, seed-determined simulation, and results are written back
-/// by input index, so the output is bit-identical to a serial sweep in the
-/// same order.
-/// One sweep point's labelled outcome.
-type Outcome = (String, Result<SimReport, String>);
-
+/// Points run on the crate's one worker pool (`pool::map`), which hands
+/// out the lowest unclaimed point to whichever worker is free, so a block
+/// of slow points (e.g. RAID5 at high load) spreads across the workers.
+/// Which thread executes a point never affects its result, and results
+/// come back by input index, so the output is bit-identical to a serial
+/// sweep in the same order.
 pub fn run_all(runs: &[NamedRun<'_>], threads: usize) -> Vec<(String, Result<SimReport, String>)> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        threads
-    };
-    let workers = threads.min(runs.len()).max(1);
-    let cursor = AtomicUsize::new(0);
-
-    // Warm-start pools, keyed by *disk class*: disk models are a pure
-    // function of (seed, geometry, seek, index), so every grid point
-    // agreeing on those three shares one pool sized for the class's
-    // largest point. Earlier the sweep built a single pool from the
-    // overall-largest point, so a grid mixing seeds or drive models
-    // warm-started only one class and cold-constructed the rest; now each
-    // class gets its own pool and only genuinely unique points fall back
-    // to cold construction inside `try_new_warm` (byte-identical either
-    // way). Invalid points (size 0 here) surface their error at `try_new`.
-    let pool_size = |r: &NamedRun<'_>| {
-        if r.config.data_disks_per_array == 0 {
+    // Warm-start pools, one per disk class, each sized for the class's
+    // largest point. Invalid points (size 0 here) surface their error at
+    // construction.
+    let pools = WarmPools::new(runs.iter().map(|r| {
+        let size = if r.config.data_disks_per_array == 0 {
             0
         } else {
             r.config.total_disks(r.trace.n_disks)
-        }
-    };
-    let mut pools: Vec<(u32, WarmDisks)> = Vec::new();
-    for r in runs {
-        let size = pool_size(r);
-        match pools.iter_mut().find(|(_, w)| w.matches(&r.config)) {
-            Some(p) if p.0 >= size => {}
-            Some(p) => *p = (size, WarmDisks::new(&r.config, size)),
-            None => pools.push((size, WarmDisks::new(&r.config, size))),
-        }
-    }
-    let warm_for = |cfg: &SimConfig| pools.iter().map(|(_, w)| w).find(|w| w.matches(cfg));
-
-    // Workers return locally collected (index, result) pairs; a worker
-    // panic propagates at scope join. Indexed collection keeps the merge
-    // lock-free without sharing mutable slots across threads.
-    let mut out: Vec<Option<(String, Result<SimReport, String>)>> = Vec::with_capacity(runs.len());
-    out.resize_with(runs.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, Outcome)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(run) = runs.get(i) else { break };
-                        // Contain a panicking point to its own result slot;
-                        // the worker lives on to claim the remaining points.
-                        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            match warm_for(&run.config) {
-                                Some(w) => {
-                                    Simulator::try_new_warm(run.config.clone(), run.trace, w)
-                                }
-                                None => Simulator::try_new(run.config.clone(), run.trace),
-                            }
-                            .map(|s| s.run())
-                        }))
-                        .unwrap_or_else(|payload| {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "opaque panic payload".into());
-                            Err(format!("simulation panicked: {msg}"))
-                        });
-                        local.push((i, (run.label.clone(), report)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // Re-raise a worker panic on the caller's thread.
-            let local = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            for (i, result) in local {
-                out[i] = Some(result);
-            }
-        }
-    });
-
-    out.into_iter()
-        // simlint::allow(panic-policy): the cursor hands out every index exactly once and worker panics propagate above, so every slot is filled
-        .map(|r| r.expect("missing sweep result"))
-        .collect()
+        };
+        (&r.config, size)
+    }));
+    pool::map(runs.len(), threads, |i| {
+        let run = &runs[i];
+        // Contain a panicking point to its own result slot; the worker
+        // lives on to claim the remaining points.
+        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pools
+                .simulator(run.config.clone(), run.trace)
+                .map(|s| s.run())
+        }))
+        .unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque panic payload".into());
+            Err(format!("simulation panicked: {msg}"))
+        });
+        (run.label.clone(), report)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Organization;
+    use crate::sim::Simulator;
     use tracegen::SynthSpec;
 
     #[test]

@@ -19,7 +19,7 @@ pub mod fault;
 pub mod queue;
 pub mod time;
 
-pub use engine::{Engine, ExecFrame, FrameChunk};
+pub use engine::Engine;
 pub use fault::{FaultEvent, FaultPlan, FaultRng};
 pub use queue::{EventId, EventQueue};
 pub use time::SimTime;

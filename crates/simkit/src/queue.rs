@@ -53,14 +53,6 @@ pub struct EventId {
     gen: u32,
 }
 
-impl EventId {
-    /// Slot index, for engine-side per-event bookkeeping (e.g. mapping a
-    /// pending event to its schedule ordinal while recording).
-    pub(crate) fn slot_index(self) -> usize {
-        self.slot as usize
-    }
-}
-
 struct Entry<E> {
     at: SimTime,
     seq: u64,

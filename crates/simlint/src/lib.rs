@@ -4,7 +4,7 @@
 //! because the trace-driven simulation is exactly reproducible: the same
 //! trace and seed must yield the same figures. The Rust compiler cannot
 //! enforce that, so this tool does. It walks every `.rs` file in the
-//! sim-core crates and checks eleven domain invariants (plus two
+//! sim-core crates and checks ten domain invariants (plus two
 //! meta-rules about the escape hatch itself):
 //!
 //! 1. **`hash-collection`** — no `std::collections::HashMap`/`HashSet`:
@@ -35,32 +35,25 @@
 //!    else must go through the `OrgPlanner`/`DiskScheduler` traits, so a
 //!    new organization or discipline is one new impl — not a sweep for
 //!    stray `match` arms.
-//! 7. **`par-safety`** — no shared mutable state across group partitions:
-//!    synchronization primitives (`Mutex`, `RwLock`, `Condvar`, atomics,
-//!    `mpsc` channels, `static mut`, `unsafe impl`, `thread::spawn`/
-//!    `thread::scope`) appear only in the partition/merge layer
-//!    (`raidsim/src/sim/par/`) and the sweep work-stealing pool
-//!    (`raidsim/src/sweep.rs`). Partitions communicate exclusively
-//!    through the journals the merge replays — anything else would let
-//!    scheduling races reach the statistics and break byte-identical
-//!    replay.
+//! 7. **`par-safety`** — no shared mutable state between independent
+//!    units: synchronization primitives (`Mutex`, `RwLock`, `Condvar`,
+//!    atomics, `mpsc` channels, `static mut`, `unsafe impl`,
+//!    `thread::spawn`/`thread::scope`) appear only in the one worker pool
+//!    (`raidsim/src/pool.rs`). Units (sweep points, fleet virtual arrays)
+//!    hand back owned results that the pool returns in index order —
+//!    anything else would let scheduling races reach the statistics and
+//!    break byte-identical replay.
 //! 8. **`unit-safety`** — no `+`/`-` arithmetic that mixes a
 //!    time-suffixed identifier (`*_ns`, `*_us`, `*_ms`, `*time*`) with a
 //!    block/byte/count identifier outside `simkit::time`: adding a
 //!    latency to a block count type-checks (both are `u64`) but is always
 //!    a unit error.
-//! 9. **`journal-effect`** *(workspace pass)* — any function reachable
-//!    from partition execution (`run_as_partition` in `sim/par/`) that
-//!    pushes statistics, changes inflight counts, or reschedules destage
-//!    ticks must be one of the journal sinks declared in `simlint.toml`;
-//!    a direct push anywhere else would bypass the ParNote/ExecFrame
-//!    journal and break byte-identical parallel replay.
-//! 10. **`layer-boundary`** *(workspace pass)* — calls between the PR 5
-//!     layer modules must follow the declared admission → planning →
-//!     dispatch → faults → reporting flow; a backward call is layer
-//!     erosion and is flagged at the call site (real feedback edges are
-//!     waived, with reasons, in the committed baseline).
-//! 11. **`fleet-boundary`** — virtual arrays exchange state only through
+//! 9. **`layer-boundary`** *(workspace pass)* — calls between the
+//!    simulator's layer modules must follow the declared admission →
+//!    planning → dispatch → faults → reporting flow; a backward call is
+//!    layer erosion and is flagged at the call site (real feedback edges
+//!    are waived, with reasons, in the committed baseline).
+//! 10. **`fleet-boundary`** — virtual arrays exchange state only through
 //!     returned outcomes merged in VA index order, so fleet-interior
 //!     files (`raidsim/src/fleet/` except `run.rs`) must stay plain
 //!     owned data: shared-ownership and interior-mutability types
@@ -109,7 +102,7 @@ pub use workspace::{analyze_workspace, WsConfig};
 // Rules
 // ---------------------------------------------------------------------------
 
-/// The eleven determinism/architecture invariants, plus the two meta-rules
+/// The ten determinism/architecture invariants, plus the two meta-rules
 /// about the escape-hatch annotations themselves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
@@ -121,14 +114,13 @@ pub enum Rule {
     SchedulerSeam,
     ParSafety,
     UnitSafety,
-    JournalEffect,
     LayerBoundary,
     FleetBoundary,
     MalformedAllow,
     UnusedAllow,
 }
 
-pub const RULES: [Rule; 13] = [
+pub const RULES: [Rule; 12] = [
     Rule::HashCollection,
     Rule::AmbientNondet,
     Rule::RawTimeCast,
@@ -137,7 +129,6 @@ pub const RULES: [Rule; 13] = [
     Rule::SchedulerSeam,
     Rule::ParSafety,
     Rule::UnitSafety,
-    Rule::JournalEffect,
     Rule::LayerBoundary,
     Rule::FleetBoundary,
     Rule::MalformedAllow,
@@ -155,7 +146,6 @@ impl Rule {
             Rule::SchedulerSeam => "scheduler-seam",
             Rule::ParSafety => "par-safety",
             Rule::UnitSafety => "unit-safety",
-            Rule::JournalEffect => "journal-effect",
             Rule::LayerBoundary => "layer-boundary",
             Rule::FleetBoundary => "fleet-boundary",
             Rule::MalformedAllow => "malformed-allow",
@@ -199,22 +189,15 @@ impl Rule {
                  label-keyed PLANNER_REGISTRY; add an OrgPlanner method instead)"
             }
             Rule::ParSafety => {
-                "group partitions must not share mutable state: synchronization primitives \
+                "independent units must not share mutable state: synchronization primitives \
                  (Mutex/RwLock/Condvar, atomics, mpsc, static mut, unsafe impl, \
-                 thread::spawn/scope) live only in raidsim's sim/par/ merge layer and \
-                 the sweep.rs work-stealing pool; everything else communicates through \
-                 the replayed journals"
+                 thread::spawn/scope) live only in raidsim's pool.rs worker pool; \
+                 everything else hands back owned results merged in index order"
             }
             Rule::UnitSafety => {
                 "adding or subtracting a time quantity and a block/byte/count quantity is a \
                  unit error even though both are plain integers; convert through the \
                  simkit::time helpers (or rename the identifier if its suffix lies)"
-            }
-            Rule::JournalEffect => {
-                "functions reachable from partition execution must route stat pushes, \
-                 inflight changes, and destage-tick scheduling through the journal sinks \
-                 declared in simlint.toml ([journal-effect] sinks); a direct mutation \
-                 bypasses the ParNote/ExecFrame journal and breaks byte-identical replay"
             }
             Rule::LayerBoundary => {
                 "this call goes against the declared layer flow (admission → planning → \
@@ -506,7 +489,7 @@ fn is_fault_boundary(path: &str) -> bool {
 /// `sim/mod.rs` builds the per-disk streams once at fault-state
 /// construction. The scrub / sparing / rebuild machinery (`sim/faults.rs`
 /// and friends) must draw from streams minted there — re-minting mid-run
-/// replays the same draws and breaks the serial/partitioned identity.
+/// replays the same draws and breaks run-to-run byte identity.
 fn is_fault_stream_boundary(path: &str) -> bool {
     let norm = path.replace('\\', "/");
     norm.ends_with("simkit/src/fault.rs") || norm.ends_with("raidsim/src/sim/mod.rs")
@@ -536,22 +519,16 @@ fn is_scheduler_boundary(path: &str) -> bool {
     path.replace('\\', "/").contains("diskmodel/src")
 }
 
-/// May this file own cross-thread shared state? The partition/merge layer
-/// (`raidsim::sim::par`, a module directory since the streaming-merge
-/// split), the sweep work-stealing pool, and the fleet runner (which
-/// work-steals whole virtual arrays) are the only sanctioned homes of
-/// synchronization primitives in sim-core.
+/// May this file own cross-thread shared state? The one worker pool
+/// (`raidsim/src/pool.rs`), which runs sweep points and fleet virtual
+/// arrays, is the only sanctioned home of synchronization primitives in
+/// sim-core.
 fn is_par_boundary(path: &str) -> bool {
-    let norm = path.replace('\\', "/");
-    norm.ends_with("raidsim/src/sim/par.rs")
-        || norm.contains("raidsim/src/sim/par/")
-        || norm.ends_with("raidsim/src/sweep.rs")
-        || norm.ends_with("raidsim/src/fleet/run.rs")
+    path.replace('\\', "/").ends_with("raidsim/src/pool.rs")
 }
 
 /// Is this a fleet-layer file *other than* the runner? `fleet/run.rs` is the
-/// one place allowed to hold cross-VA machinery (it is also a par boundary);
-/// the rest of the fleet layer — config, alloc, report, spec — must stay
+/// one place allowed to hold cross-VA machinery; the rest of the fleet layer — config, alloc, report, spec — must stay
 /// plain owned data, so shared-ownership and interior-mutability types are
 /// flagged there ([`Rule::FleetBoundary`]).
 fn is_fleet_interior(path: &str) -> bool {
@@ -994,8 +971,8 @@ fn make_diag(
 
 /// Analyze one source file (given as a string, so unit tests can feed
 /// inline fixtures) and return every diagnostic whose rule is not allowed.
-/// Runs the per-file rules under the strict profile; the workspace rules
-/// (`journal-effect`, `layer-boundary`) need the whole tree — see
+/// Runs the per-file rules under the strict profile; the workspace rule
+/// (`layer-boundary`) needs the whole tree — see
 /// [`analyze_workspace`].
 pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
     let ws = WsConfig::default();
@@ -1252,19 +1229,21 @@ mod tests {
         );
         assert_eq!(d.len(), 6, "{d:?}");
         assert!(d.iter().all(|d| d.rule == Rule::ParSafety));
-        // The partition/merge layer and the sweep pool are the sanctioned
-        // homes of synchronization.
+        // The one worker pool is the sanctioned home of synchronization.
+        let d = analyze_source("crates/raidsim/src/pool.rs", src, &Config::default());
+        assert!(
+            d.is_empty(),
+            "pool.rs must be allowed to synchronize: {d:?}"
+        );
+        // The sweep and the fleet runner go through the pool, so they are
+        // flagged like any other file when they synchronize themselves.
         for path in [
-            "crates/raidsim/src/sim/par.rs",
-            "crates/raidsim/src/sim/par/mod.rs",
-            "crates/raidsim/src/sim/par/journal.rs",
-            "crates/raidsim/src/sim/par/merge.rs",
             "crates/raidsim/src/sweep.rs",
+            "crates/raidsim/src/fleet/run.rs",
         ] {
-            assert!(
-                analyze_source(path, src, &Config::default()).is_empty(),
-                "{path} must be allowed to synchronize"
-            );
+            let d = analyze_source(path, src, &Config::default());
+            assert_eq!(d.len(), 6, "{path} must not synchronize: {d:?}");
+            assert!(d.iter().all(|d| d.rule == Rule::ParSafety));
         }
         // `&'static mut` never fires: the lifetime is not the keyword.
         let d = lint("fn g(x: &'static mut u32) -> u32 { *x }\n");

@@ -5,7 +5,6 @@
 //! `finish_file` phase, so the escape hatches work identically for
 //! per-file and cross-file findings.
 
-pub(crate) mod journal_effect;
 pub(crate) mod layer_boundary;
 
 /// A cross-file raw match: (file index, rule, line, col).

@@ -8,30 +8,6 @@ use crate::{
 };
 use std::path::Path;
 
-/// `[journal-effect]`: the effect-routing contract for partition execution.
-#[derive(Clone, Debug)]
-pub struct JournalCfg {
-    /// Path prefix of the files that participate (the sim layer tree).
-    pub scope: String,
-    /// Partition-execution entry points (function names).
-    pub entries: Vec<String>,
-    /// Functions sanctioned to both mutate order-sensitive accumulators
-    /// and journal the same effect (verified to reference a journal
-    /// marker).
-    pub sinks: Vec<String>,
-    /// Order-sensitive accumulator fields: mutating `.field` via a record
-    /// method or `+=`/`-=` outside a sink is a diagnostic.
-    pub stat_fields: Vec<String>,
-    /// Method names that count as mutation (`.push(`, `.record(`, …).
-    pub record_methods: Vec<String>,
-    /// Event-scheduling calls inspected for tick rescheduling.
-    pub schedule_calls: Vec<String>,
-    /// Event idents whose (re)scheduling must flow through a sink.
-    pub tick_markers: Vec<String>,
-    /// Idents whose presence in a sink body proves it journals.
-    pub journal_markers: Vec<String>,
-}
-
 /// `[layer-boundary]`: the declared layer DAG (a chain, hence trivially
 /// acyclic) and which files belong to which layer.
 #[derive(Clone, Debug)]
@@ -67,7 +43,6 @@ pub struct WsConfig {
     pub hash_pin_markers: Vec<String>,
     /// Ubiquitous method names never followed as call-graph edges.
     pub ignore_calls: Vec<String>,
-    pub journal: JournalCfg,
     pub layers: LayerCfg,
     pub units: UnitCfg,
 }
@@ -121,38 +96,6 @@ impl Default for WsConfig {
                 "into",
                 "from",
             ]),
-            journal: JournalCfg {
-                scope: "crates/raidsim/src/sim".into(),
-                entries: strs(&["run_as_partition"]),
-                sinks: strs(&[
-                    "process_record",
-                    "try_start",
-                    "start_op",
-                    "on_destage_tick",
-                    "finalize_request",
-                ]),
-                stat_fields: strs(&[
-                    "inflight",
-                    "resp_all",
-                    "resp_reads",
-                    "resp_writes",
-                    "hist",
-                    "phase_reads",
-                    "phase_writes",
-                    "completed",
-                    "completed_reads",
-                    "completed_writes",
-                    "resp_healthy",
-                    "resp_degraded",
-                    "resp_rebuilding",
-                    "sched_seek_cyl",
-                    "sched_qdepth",
-                ]),
-                record_methods: strs(&["push", "record", "observe", "add"]),
-                schedule_calls: strs(&["schedule_at", "schedule_after"]),
-                tick_markers: strs(&["DestageTick"]),
-                journal_markers: strs(&["StatPush", "inflight_delta", "tick_resched", "ExecFrame"]),
-            },
             layers: LayerCfg {
                 order: strs(&["admission", "planning", "dispatch", "faults", "reporting"]),
                 modules: vec![
@@ -202,7 +145,6 @@ impl WsConfig {
             "surface",
             "relaxed",
             "graph",
-            "journal-effect",
             "layer-boundary",
             "unit-safety",
         ];
@@ -224,19 +166,6 @@ impl WsConfig {
         check_keys("surface", &["strict", "relaxed"])?;
         check_keys("relaxed", &["hash_pin_markers"])?;
         check_keys("graph", &["ignore_calls"])?;
-        check_keys(
-            "journal-effect",
-            &[
-                "scope",
-                "entries",
-                "sinks",
-                "stat_fields",
-                "record_methods",
-                "schedule_calls",
-                "tick_markers",
-                "journal_markers",
-            ],
-        )?;
         check_keys("layer-boundary", &["order", "modules"])?;
         check_keys("unit-safety", &["time_units", "quantity_units", "boundary"])?;
 
@@ -249,28 +178,6 @@ impl WsConfig {
         arr("surface.relaxed", &mut ws.relaxed_roots);
         arr("relaxed.hash_pin_markers", &mut ws.hash_pin_markers);
         arr("graph.ignore_calls", &mut ws.ignore_calls);
-
-        if let Some(t) = toml::get_table(&root, "journal-effect") {
-            if let Some(s) = t.get("scope").and_then(|v| v.as_str()) {
-                ws.journal.scope = s.to_string();
-            }
-        }
-        arr("journal-effect.entries", &mut ws.journal.entries);
-        arr("journal-effect.sinks", &mut ws.journal.sinks);
-        arr("journal-effect.stat_fields", &mut ws.journal.stat_fields);
-        arr(
-            "journal-effect.record_methods",
-            &mut ws.journal.record_methods,
-        );
-        arr(
-            "journal-effect.schedule_calls",
-            &mut ws.journal.schedule_calls,
-        );
-        arr("journal-effect.tick_markers", &mut ws.journal.tick_markers);
-        arr(
-            "journal-effect.journal_markers",
-            &mut ws.journal.journal_markers,
-        );
 
         arr("layer-boundary.order", &mut ws.layers.order);
         if let Some(mods) = toml::get_table(&root, "layer-boundary.modules") {
@@ -312,10 +219,10 @@ impl WsConfig {
 }
 
 /// Run the full workspace analysis rooted at `root`: per-file rules over
-/// the strict and relaxed surfaces, then the cross-file rules
-/// (`journal-effect`, `layer-boundary`) over the function graph of the
-/// strict files. Allow-directives and the meta-rules see the union, so a
-/// `// simlint::allow(journal-effect): …` works like any other escape.
+/// the strict and relaxed surfaces, then the cross-file rule
+/// (`layer-boundary`) over the function graph of the strict files.
+/// Allow-directives and the meta-rules see the union, so a
+/// `// simlint::allow(layer-boundary): …` works like any other escape.
 pub fn analyze_workspace(
     root: &Path,
     ws: &WsConfig,
@@ -355,10 +262,7 @@ pub fn analyze_workspace(
             defs.extend(graph::extract_fns(u, i));
         }
     }
-    for (file, rule, line, col) in rules::journal_effect::run(ws, &units, &defs)?
-        .into_iter()
-        .chain(rules::layer_boundary::run(ws, &units, &defs)?)
-    {
+    for (file, rule, line, col) in rules::layer_boundary::run(ws, &units, &defs)? {
         raw[file].push((rule, line, col));
     }
 
@@ -380,18 +284,17 @@ mod tests {
     fn parse_overrides_and_rejects_unknown_keys() {
         let ws = WsConfig::parse(
             "[surface]\nstrict = [\"src\"]\nrelaxed = []\n\
-             [journal-effect]\nscope = \"src\"\nentries = [\"go\"]\n",
+             [unit-safety]\nboundary = [\"src/time.rs\"]\n",
         )
         .unwrap();
         assert_eq!(ws.strict_roots, vec!["src".to_string()]);
         assert!(ws.relaxed_roots.is_empty());
-        assert_eq!(ws.journal.scope, "src");
-        assert_eq!(ws.journal.entries, vec!["go".to_string()]);
+        assert_eq!(ws.units.boundary, vec!["src/time.rs".to_string()]);
         // Defaults survive for untouched keys.
         assert_eq!(ws.layers.order.len(), 5);
 
         assert!(WsConfig::parse("[typo]\nx = 1\n").is_err());
-        assert!(WsConfig::parse("[journal-effect]\nsink = [\"a\"]\n").is_err());
+        assert!(WsConfig::parse("[unit-safety]\nboundaries = [\"a\"]\n").is_err());
         let bad_layer = "[layer-boundary.modules]\nghost = [\"x.rs\"]\n";
         assert!(WsConfig::parse(bad_layer).is_err(), "layer not in order");
     }

@@ -259,7 +259,7 @@ fn to_sarif_output_is_strictly_parseable_and_well_formed() {
     let driver = run.get("tool").get("driver");
     assert_eq!(driver.get("name").str(), "simlint");
     // Full rule catalog rides along for code-scanning display.
-    assert_eq!(driver.get("rules").arr_len(), 13);
+    assert_eq!(driver.get("rules").arr_len(), 12);
     let results = run.get("results");
     assert_eq!(results.arr_len(), 2);
     let r0 = results.idx(0);

@@ -10,14 +10,14 @@
 //! **Tie rule.** Records carrying the same arrival timestamp merge in
 //! stream order: the tenant listed earlier in the `streams` slice wins,
 //! and within one stream records keep their generated order. The rule is
-//! arbitrary but *fixed* — the fleet's serial and partitioned runs both
+//! arbitrary but *fixed* — the fleet's serial and parallel runs both
 //! consume the identical master stream, which is what keeps them
 //! byte-identical.
 //!
 //! Downstream, the fleet runner pre-splits the master by virtual array
-//! through [`Trace::split_arrivals`], so each VA partition sees exactly
-//! its own arrivals: every routed record lands in exactly one VA's feed
-//! (zero replay amplification carries over from the single-array design).
+//! through [`Trace::split_arrivals`], so each VA sees exactly its own
+//! arrivals: every routed record lands in exactly one VA's feed (zero
+//! replay amplification).
 
 use crate::record::Trace;
 use crate::synth::SynthSpec;

@@ -5,10 +5,10 @@
 //! not a panic), and latent sector errors discovered by the background
 //! scrub or surfacing mid-rebuild.
 //!
-//! Every scenario is additionally pinned serial-vs-`run_par` at 1, 4, and
-//! 8 threads: the lifecycle machinery is partition-local state, and the
-//! merge layer must reproduce the serial bytes exactly (threads = 1 is the
-//! documented fallback and must equal serial trivially).
+//! Every scenario is additionally replayed: two runs of one configuration
+//! must produce byte-identical reports, so the lifecycle machinery (spare
+//! draws, latent-error streams, scrub cursors) is a pure function of the
+//! trace, the config and the fault seed.
 
 use diskmodel::DiskGeometry;
 use raidsim::{DiskFailure, FaultConfig, Organization, SimConfig, Simulator, SparingMode};
@@ -23,9 +23,8 @@ fn small_geometry() -> DiskGeometry {
     }
 }
 
-/// Three arrays of four data disks: enough to partition at 4 and 8
-/// threads (clamped to one array per partition) while the faulted array
-/// stays wholly owned by one partition.
+/// Three arrays of four data disks; the faults land on array 1, so the
+/// healthy arrays around it keep serving.
 fn lifecycle_trace() -> Trace {
     SynthSpec {
         name: "lifecycle".into(),
@@ -69,25 +68,15 @@ fn two_failures(second_disk: u32, spare_count: u32) -> FaultConfig {
     }
 }
 
-/// Serial report and the `run_par` reports at 1/4/8 threads must be one
-/// byte sequence; 4 and 8 threads must actually partition the 3 arrays.
-fn assert_parallel_identical(cfg: &SimConfig, trace: &Trace) -> String {
-    let serial = format!("{:#?}", Simulator::new(cfg.clone(), trace).run());
-    for threads in [1usize, 4, 8] {
-        let (report, _, partitioned) =
-            Simulator::new(cfg.clone(), trace).run_par_instrumented(threads);
-        assert_eq!(
-            partitioned,
-            threads > 1,
-            "threads={threads}: unexpected partitioning decision"
-        );
-        assert_eq!(
-            format!("{report:#?}"),
-            serial,
-            "threads={threads}: parallel lifecycle run diverged from serial"
-        );
-    }
-    serial
+/// Two serial runs of one configuration must be one byte sequence.
+fn assert_replays_identically(cfg: &SimConfig, trace: &Trace) -> String {
+    let first = format!("{:#?}", Simulator::new(cfg.clone(), trace).run());
+    let second = format!("{:#?}", Simulator::new(cfg.clone(), trace).run());
+    assert_eq!(
+        second, first,
+        "a lifecycle run did not replay byte-identically"
+    );
+    first
 }
 
 #[test]
@@ -119,7 +108,7 @@ fn spare_death_mid_rebuild_restarts_onto_next_spare() {
         "rebuild_blocks {} should include the aborted first attempt",
         f.rebuild_blocks
     );
-    assert_parallel_identical(&cfg, &trace);
+    assert_replays_identically(&cfg, &trace);
 }
 
 #[test]
@@ -148,7 +137,7 @@ fn spare_exhaustion_leaves_array_degraded() {
         rel.exposure_ms,
         f.rebuild_ms
     );
-    assert_parallel_identical(&cfg, &trace);
+    assert_replays_identically(&cfg, &trace);
 }
 
 #[test]
@@ -179,7 +168,7 @@ fn second_data_disk_failure_is_accounted_data_loss_not_a_panic() {
         (at - 1_500.0).abs() < 1e-6,
         "data loss at {at} ms, expected the second failure's 1500 ms"
     );
-    assert_parallel_identical(&cfg, &trace);
+    assert_replays_identically(&cfg, &trace);
 }
 
 #[test]
@@ -214,7 +203,7 @@ fn scrub_repairs_latent_errors_and_sweeps_every_block() {
     assert!(rel.latent_repaired > 0, "scrub repaired nothing");
     assert!(rel.latent_repaired <= rel.latent_errors);
     assert_eq!(rel.blocks_lost, 0, "healthy redundancy repairs, not loses");
-    assert_parallel_identical(&cfg, &trace);
+    assert_replays_identically(&cfg, &trace);
 }
 
 #[test]
@@ -246,7 +235,7 @@ fn rebuild_surfaces_latent_errors_on_surviving_peers() {
         "only the marred blocks are lost, not the whole disk"
     );
     assert_eq!(rel.health, "data-loss");
-    assert_parallel_identical(&cfg, &trace);
+    assert_replays_identically(&cfg, &trace);
 }
 
 #[test]
@@ -286,7 +275,7 @@ fn distributed_sparing_rebuilds_without_consuming_spares() {
     // Same blocks re-protected either way.
     let (hf, df) = (hot.faults.as_ref().unwrap(), dist.faults.as_ref().unwrap());
     assert_eq!(hf.rebuild_blocks, df.rebuild_blocks);
-    assert_parallel_identical(&cfg, &trace);
+    assert_replays_identically(&cfg, &trace);
 }
 
 /// The sparing-policy performance claim: distributed sparing spreads the
