@@ -38,18 +38,12 @@ pub struct VaPlan {
     pub tenants: Vec<usize>,
 }
 
-/// The resolved fleet: placements plus the logical-disk geometry the trace
-/// router needs.
+/// The resolved fleet: per-VA plans plus the tenant placements.
 #[derive(Clone, Debug)]
 pub struct FleetPlan {
     pub vas: Vec<VaPlan>,
     /// `placement[t]` is the VA index hosting tenant `t`.
     pub placement: Vec<usize>,
-    /// Sum of the VA spans — the master trace's disk count.
-    pub total_logical_disks: u32,
-    /// Largest `blocks_per_disk` across the classes in use — the master
-    /// trace's address cap.
-    pub max_blocks_per_disk: u64,
 }
 
 /// Nominal random-access rate of one drive of `class`, accesses/second:
@@ -102,7 +96,6 @@ pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
 
     let mut vas = Vec::with_capacity(fleet.arrays.len());
     let mut base = 0u32;
-    let mut max_bpd = 0u64;
     // Residual capability per VA: physical accesses/sec and blocks.
     let mut resid_bw = Vec::with_capacity(fleet.arrays.len());
     let mut resid_cap = Vec::with_capacity(fleet.arrays.len());
@@ -110,7 +103,6 @@ pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
         // simlint::allow(panic-policy): validate() resolved every class name above
         let class = fleet.class(&va.disk_class).expect("validated class");
         let bpd = class.geometry.blocks_per_disk();
-        max_bpd = max_bpd.max(bpd);
         resid_bw
             .push(disk_access_rate(class) * va.organization.disks_per_array(va.data_disks) as f64);
         resid_cap.push(va.data_disks as u64 * bpd);
@@ -171,12 +163,7 @@ pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
         placement.push(v);
     }
 
-    Ok(FleetPlan {
-        vas,
-        placement,
-        total_logical_disks: base,
-        max_blocks_per_disk: max_bpd,
-    })
+    Ok(FleetPlan { vas, placement })
 }
 
 #[cfg(test)]
@@ -196,7 +183,6 @@ mod tests {
             assert_eq!(va.base_disk, expect);
             expect += va.data_disks;
         }
-        assert_eq!(a.total_logical_disks, expect);
         // Every placed tenant is recorded on its VA.
         for (t, &v) in a.placement.iter().enumerate() {
             assert!(a.vas[v].tenants.contains(&t));

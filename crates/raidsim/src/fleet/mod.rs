@@ -17,13 +17,14 @@
 //!   and capacity, turning tenant demands into placements on VAs and VAs
 //!   into per-VA [`crate::SimConfig`]s over contiguous fleet-global logical
 //!   disk spans.
-//! - [`run`]: [`run_fleet`] — per-tenant substreams routed through
-//!   [`tracegen::route`] into one master arrival stream, pre-split by VA
-//!   via [`tracegen::Trace::split_arrivals`] (every record lands in exactly
-//!   one VA: zero replay amplification), then simulated serially or
-//!   work-stealing-parallel across VAs with per-disk-class warm-start
-//!   pools. Results merge in VA index order, so the parallel run is
-//!   byte-identical to the serial one.
+//! - [`run`]: [`run_fleet`] — each VA is one pool unit: it generates its
+//!   own tenants' seeded substreams, merges them through
+//!   [`tracegen::route`] (ties: earlier tenant first), and simulates the
+//!   result with a per-disk-class warm-start pool. Every record is
+//!   generated inside the one VA that owns it, so replay amplification is
+//!   1.0 by construction. VAs run serially or work-stealing-parallel and
+//!   merge in VA index order, so the parallel run is byte-identical to the
+//!   serial one.
 //! - [`report`]: [`FleetReport`] — per-VA [`crate::SimReport`]s, per-tenant
 //!   response statistics (mean + p99 from exact Welford/histogram merges),
 //!   fleet throughput in events per *simulated* second (never wall-clock,

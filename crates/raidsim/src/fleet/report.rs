@@ -85,14 +85,15 @@ impl FleetReport {
             })
             .collect();
 
-        // Per-tenant class reports, merged across VAs in VA index order
-        // (exact merges, so the fold order only matters for determinism —
-        // and VA index order is fixed).
+        // Per-tenant class reports. A VA's classes are its own tenants in
+        // placement order, so class `i` of VA `v` is tenant
+        // `plan.vas[v].tenants[i]`; each tenant lives on one VA, and the
+        // merge into an empty report is exact.
         let mut merged: Vec<ClassReport> = (0..fleet.tenants.len())
             .map(|_| ClassReport::new())
             .collect();
-        for o in &outcomes {
-            for (t, c) in o.classes.iter().enumerate() {
+        for (va, o) in plan.vas.iter().zip(&outcomes) {
+            for (&t, c) in va.tenants.iter().zip(&o.classes) {
                 merged[t].merge(c);
             }
         }
@@ -145,10 +146,10 @@ impl FleetReport {
                 .max()
                 .unwrap_or(0),
             partitions,
-            // Every routed arrival is owned by exactly one VA feed (the
-            // pre-split is disjoint and exhaustive), so the fleet executes
-            // precisely the serial event count: amplification 1 by
-            // construction.
+            // A VA's tenants are generated and merged inside its own pool
+            // unit, so every arrival is simulated by exactly one VA and the
+            // fleet executes precisely the serial event count:
+            // amplification 1 by construction.
             replay_amplification: 1.0,
         };
 

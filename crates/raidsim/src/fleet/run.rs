@@ -1,12 +1,21 @@
-//! Fleet execution: route tenant substreams, pre-split by virtual array,
-//! simulate VAs serially or in parallel, merge in VA index order.
+//! Fleet execution: each virtual array generates, merges, and simulates
+//! its own tenants' arrivals as one pool unit; outcomes merge in VA index
+//! order.
 //!
-//! The virtual array is the unit of execution: VAs share no simulator
-//! state (each is its own `Simulator` over its own pre-split arrival
-//! feed), so the crate's one worker pool (`crate::pool::map`) runs whole
-//! VAs and returns their outcomes by VA index. The merge consumes them in
-//! that order regardless of completion order, which makes the parallel
-//! fleet run byte-identical to the serial one.
+//! The virtual array is the unit of execution from trace generation
+//! onward: VAs share no simulator state and no arrivals (a tenant lives on
+//! exactly one VA), so the crate's one worker pool (`crate::pool::map`)
+//! runs whole VAs — substream generation, the [`tracegen::route`] merge of
+//! the VA's own tenants, and the simulation — and returns their outcomes
+//! by VA index. Every arrival is generated inside the one VA that owns it,
+//! so replay amplification is 1.0 by construction. Merging in VA index
+//! order regardless of completion order makes the parallel fleet run
+//! byte-identical to the serial one.
+//!
+//! Routing per VA is the global route restricted to that VA: streams are
+//! listed in increasing tenant index, so the tie rule (equal timestamps →
+//! earlier tenant first) orders a VA's records exactly as a fleet-wide
+//! merge would.
 //!
 //! Warm-start pools are shared per **disk class**: every VA's `SimConfig`
 //! carries the fleet seed and its class's geometry and seek curve, which
@@ -14,28 +23,17 @@
 //! pool per class warm-starts every VA of that class (cold fallback remains
 //! byte-identical by the single-array warm-start contract).
 
-use super::alloc::{allocate, FleetPlan};
+use super::alloc::{allocate, FleetPlan, VaPlan};
 use super::config::FleetConfig;
 use super::report::{FleetReport, VaOutcome};
-use crate::config::SimConfig;
 use crate::pool;
 use crate::sim::{RunStats, WarmPools};
-use tracegen::{route, SynthSpec, TenantStream, Trace};
+use tracegen::{route, SynthSpec, TenantStream};
 
-/// One virtual array's ready-to-run inputs.
-pub(super) struct VaJob {
-    config: SimConfig,
-    /// The VA's arrivals in VA-local disk numbering.
-    trace: Trace,
-    /// Per-record tenant index (the request class).
-    classes: Vec<u16>,
-}
-
-/// Build tenant `t`'s substream spec: the Trace-2 OLTP shape re-skinned
-/// with the tenant's demand, skew, and write mix over its VA's span.
-fn tenant_substream(fleet: &FleetConfig, plan: &FleetPlan, t: usize) -> TenantStream {
+/// Tenant `t`'s substream spec: the Trace-2 OLTP shape re-skinned with the
+/// tenant's demand, skew, and write mix over the span of `va`, its VA.
+fn tenant_spec(fleet: &FleetConfig, va: &VaPlan, t: usize) -> SynthSpec {
     let tenant = &fleet.tenants[t];
-    let va = &plan.vas[plan.placement[t]];
     let mut spec = SynthSpec::trace2();
     spec.name = tenant.id.clone();
     // Per-tenant seed: the fleet seed mixed with the tenant index through
@@ -50,88 +48,65 @@ fn tenant_substream(fleet: &FleetConfig, plan: &FleetPlan, t: usize) -> TenantSt
     spec.n_requests = ((tenant.demand_iops * fleet.duration_secs).ceil() as usize).max(1);
     spec.write_fraction = tenant.write_fraction;
     spec.disk_skew_theta = tenant.skew;
-    TenantStream {
-        tenant: t as u16,
-        base_disk: va.base_disk,
-        spec,
-    }
+    spec
 }
 
-/// Route every tenant substream into the master stream and materialize one
-/// pre-split job per VA (records re-based to VA-local disk numbering, each
-/// tagged with its tenant class).
-fn build_jobs(fleet: &FleetConfig, plan: &FleetPlan) -> Result<Vec<VaJob>, String> {
-    let streams: Vec<TenantStream> = (0..fleet.tenants.len())
-        .map(|t| tenant_substream(fleet, plan, t))
-        .collect();
-    let routed = route(plan.total_logical_disks, plan.max_blocks_per_disk, &streams)?;
-
-    // Fleet-global disk → owning VA.
-    let mut owner = vec![0usize; plan.total_logical_disks as usize];
-    for (v, va) in plan.vas.iter().enumerate() {
-        for d in va.base_disk..va.base_disk + va.data_disks {
-            owner[d as usize] = v;
-        }
-    }
-    let mut split = routed
-        .master
-        .split_arrivals(plan.vas.len(), |r| owner[r.disk as usize]);
-
-    let jobs = plan
-        .vas
+/// Virtual array `v`'s tenant substreams in VA-local disk numbering, in
+/// increasing tenant index (the router's tie order), each tagged with its
+/// position in `plan.vas[v].tenants`.
+fn va_streams(fleet: &FleetConfig, plan: &FleetPlan, v: usize) -> Vec<TenantStream> {
+    let va = &plan.vas[v];
+    va.tenants
         .iter()
         .enumerate()
-        .map(|(v, va)| {
-            let indices = split.take_group(v);
-            let mut trace = Trace::new(va.data_disks, va.config.geometry.blocks_per_disk());
-            trace.records.reserve(indices.len());
-            let mut classes = Vec::with_capacity(indices.len());
-            for &i in &indices {
-                let mut r = routed.master.records[i as usize];
-                r.disk -= va.base_disk;
-                trace.records.push(r);
-                classes.push(routed.tenant_of[i as usize]);
-            }
-            VaJob {
-                config: va.config.clone(),
-                trace,
-                classes,
-            }
+        .map(|(i, &t)| TenantStream {
+            tenant: i as u16,
+            base_disk: 0,
+            spec: tenant_spec(fleet, va, t),
         })
-        .collect();
-    Ok(jobs)
+        .collect()
 }
 
-/// Simulate one VA job (warm-started from its class pool) and collect its
-/// outcome.
-fn run_job(job: &VaJob, pools: &WarmPools, n_tenants: u16) -> Result<VaOutcome, String> {
-    let mut sim = pools.simulator(job.config.clone(), &job.trace)?;
-    sim.set_classes(job.classes.clone(), n_tenants)?;
+/// Generate, route, and simulate virtual array `v` (warm-started from its
+/// class pool).
+fn run_va(
+    fleet: &FleetConfig,
+    plan: &FleetPlan,
+    v: usize,
+    pools: &WarmPools,
+) -> Result<VaOutcome, String> {
+    let va = &plan.vas[v];
+    let streams = va_streams(fleet, plan, v);
+    let routed = route(
+        va.data_disks,
+        va.config.geometry.blocks_per_disk(),
+        &streams,
+    )?;
+    let arrivals = routed.master.len() as u64;
+    let mut sim = pools.simulator(va.config.clone(), &routed.master)?;
+    sim.set_classes(routed.tenant_of, streams.len() as u16)?;
     let (report, stats, classes) = sim.run_classed();
     Ok(VaOutcome {
         report,
         stats,
         classes,
-        arrivals: job.trace.len() as u64,
+        arrivals,
     })
 }
 
-/// Plan, route, and simulate the whole fleet, `threads`-wide (`0` uses the
-/// machine's available parallelism; `1` is fully serial). Any thread count
-/// returns byte-identical results.
+/// Plan, generate, and simulate the whole fleet, `threads`-wide (`0` uses
+/// the machine's available parallelism; `1` is fully serial). Any thread
+/// count returns byte-identical results.
 pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, RunStats), String> {
     let plan = allocate(fleet)?;
-    let jobs = build_jobs(fleet, &plan)?;
-    let n_tenants = fleet.tenants.len() as u16;
 
     // One warm pool per disk class, sized for the class's largest VA.
     let pools = WarmPools::new(
-        jobs.iter()
-            .map(|job| (&job.config, job.config.total_disks(job.trace.n_disks))),
+        plan.vas
+            .iter()
+            .map(|va| (&va.config, va.config.total_disks(va.data_disks))),
     );
-    let out = pool::map(jobs.len(), threads, |v| {
-        run_job(&jobs[v], &pools, n_tenants)
-    });
+    let out = pool::map(plan.vas.len(), threads, |v| run_va(fleet, &plan, v, &pools));
 
     // Merge in VA index order — completion order never leaks into the
     // report, which is what keeps every thread count byte-identical.
@@ -154,8 +129,8 @@ mod tests {
         assert_eq!(report.tenants.len(), fleet.tenants.len());
         assert!(report.requests_completed > 0);
         assert!(stats.events_processed > 0);
-        // Zero replay amplification by construction: every routed record
-        // lands in exactly one VA's feed.
+        // Zero replay amplification by construction: every record is
+        // generated inside the one VA that owns it.
         assert!((stats.replay_amplification - 1.0).abs() < 1e-12);
         let owned: u64 = stats.partitions.iter().map(|p| p.arrivals_owned).sum();
         let demand: usize = fleet
@@ -167,6 +142,26 @@ mod tests {
             owned as usize, demand,
             "router must neither drop nor duplicate arrivals"
         );
+    }
+
+    #[test]
+    fn va_streams_list_tenants_in_increasing_order_with_local_tags() {
+        for fleet in [FleetConfig::demo(), FleetConfig::small()] {
+            let plan = allocate(&fleet).unwrap();
+            for (v, va) in plan.vas.iter().enumerate() {
+                let on_va: Vec<usize> = (0..fleet.tenants.len())
+                    .filter(|&t| plan.placement[t] == v)
+                    .collect();
+                assert_eq!(va.tenants, on_va, "{} tenants out of order", va.name);
+                let streams = va_streams(&fleet, &plan, v);
+                assert_eq!(streams.len(), on_va.len());
+                for (i, (s, &t)) in streams.iter().zip(&on_va).enumerate() {
+                    assert_eq!(s.tenant as usize, i);
+                    assert_eq!(s.base_disk, 0);
+                    assert_eq!(s.spec.name, fleet.tenants[t].id);
+                }
+            }
+        }
     }
 
     #[test]

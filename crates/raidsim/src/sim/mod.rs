@@ -306,7 +306,7 @@ pub struct RunStats {
 /// [`RunStats::partitions`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PartStats {
-    /// Trace arrivals the unit owned (its pre-split feed length).
+    /// Trace arrivals the unit owned (the length of its trace).
     pub arrivals_owned: u64,
     /// Events the unit executed (arrivals + its queue pops).
     pub events_processed: u64,

@@ -1,23 +1,23 @@
 //! Deterministic fleet trace router: per-tenant substreams merged into one
-//! fleet arrival stream.
+//! arrival stream.
 //!
 //! Each tenant gets its own [`SynthSpec`]-generated substream (own seed,
-//! own skew, own mix) over the logical disk span of the virtual array it
-//! was placed on. The router merges the substreams into one time-sorted
-//! *master* trace in fleet-global logical disk numbering, tagging every
+//! own skew, own mix) over the logical disk span it was placed on. The
+//! router merges the substreams into one time-sorted trace, tagging every
 //! record with its tenant.
 //!
 //! **Tie rule.** Records carrying the same arrival timestamp merge in
 //! stream order: the tenant listed earlier in the `streams` slice wins,
 //! and within one stream records keep their generated order. The rule is
-//! arbitrary but *fixed* — the fleet's serial and parallel runs both
-//! consume the identical master stream, which is what keeps them
-//! byte-identical.
+//! arbitrary but *fixed*, and it commutes with restriction: routing any
+//! subset of the streams (in the same relative order) yields exactly the
+//! full merge's records from that subset, in the same order.
 //!
-//! Downstream, the fleet runner pre-splits the master by virtual array
-//! through [`Trace::split_arrivals`], so each VA sees exactly its own
-//! arrivals: every routed record lands in exactly one VA's feed (zero
-//! replay amplification).
+//! Downstream, the fleet runner routes each virtual array's tenants inside
+//! that VA's own pool unit, in increasing tenant order at `base_disk` 0.
+//! By the restriction property this equals the fleet-wide merge split by
+//! VA, and every record is generated inside the one VA that owns it, so
+//! replay amplification stays 1.0 by construction.
 
 use crate::record::Trace;
 use crate::synth::SynthSpec;
@@ -36,8 +36,8 @@ pub struct TenantStream {
     pub spec: SynthSpec,
 }
 
-/// The routed fleet arrival stream: one merged, time-sorted trace over the
-/// fleet's global logical disk space, plus a per-record tenant tag.
+/// The routed arrival stream: one merged, time-sorted trace over the
+/// streams' logical disk space, plus a per-record tenant tag.
 #[derive(Clone, Debug)]
 pub struct RoutedTrace {
     pub master: Trace,
@@ -46,13 +46,11 @@ pub struct RoutedTrace {
     pub n_tenants: u16,
 }
 
-/// Generate every tenant's substream and merge them into one fleet trace.
+/// Generate every tenant's substream and merge them into one trace.
 ///
-/// `total_disks` is the fleet's logical disk count (the sum of the VA
-/// spans); `blocks_per_disk` must be at least every stream's own
-/// `blocks_per_disk` so the master's addresses validate (per-VA traces are
-/// re-bounded to their own geometry when the fleet runner materializes
-/// them).
+/// `total_disks` is the merged trace's logical disk count (every stream's
+/// span must fit inside it); `blocks_per_disk` must be at least every
+/// stream's own `blocks_per_disk` so the merged addresses validate.
 pub fn route(
     total_disks: u32,
     blocks_per_disk: u64,

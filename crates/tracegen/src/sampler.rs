@@ -73,11 +73,30 @@ pub fn exp_ns<R: Rng>(rng: &mut R, mean_ns: f64) -> u64 {
 
 /// Geometric sampler over `1..=max` (number of trials until first success),
 /// truncated; used for multiblock request lengths and LRU stack distances.
+///
+/// Each trial fails when a standard uniform `u` satisfies `u >= p`, tested
+/// on integers. The uniform is `u = m · 2^-53` with `m = next_u64() >> 11`
+/// an integer below `2^53`, and `p · 2^53` is exact (scaling by a power of
+/// two), so `u >= p` ⟺ `m >= p · 2^53` ⟺ `m >= ⌈p · 2^53⌉ = t`. The loop
+/// therefore draws the same words and returns the same `k` as the float
+/// test `rng.gen::<f64>() >= p`, for every `p`: `p = 1` gives `t = 2^53`
+/// (no trial fails), `p <= 0` gives `t = 0` (every trial fails), and
+/// `p > 1` or NaN, which no uniform reaches, give `t = u64::MAX`.
 #[inline]
 pub fn geometric_trunc<R: Rng>(rng: &mut R, p: f64, max: u32) -> u32 {
     debug_assert!(p > 0.0 && p <= 1.0);
+    let t = if p <= 1.0 {
+        // ⌈x⌉ by truncation (`f64::ceil` is a libm call on baseline
+        // x86-64): `x <= 2^53`, so `x as u64` is ⌊x⌋ exactly, and 0 when
+        // `x < 0`.
+        let x = p * (1u64 << 53) as f64;
+        let floor = x as u64;
+        floor + u64::from((floor as f64) < x)
+    } else {
+        u64::MAX
+    };
     let mut k = 1;
-    while k < max && rng.gen::<f64>() >= p {
+    while k < max && (rng.next_u64() >> 11) >= t {
         k += 1;
     }
     k
@@ -87,7 +106,7 @@ pub fn geometric_trunc<R: Rng>(rng: &mut R, p: f64, max: u32) -> u32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::{rngs::SmallRng, SeedableRng};
+    use rand::{rngs::SmallRng, RngCore, SeedableRng};
 
     #[test]
     fn uniform_when_theta_zero() {
@@ -145,7 +164,75 @@ mod tests {
         assert_eq!(geometric_trunc(&mut rng, 1.0, 32), 1);
     }
 
+    /// The float loop `geometric_trunc` replaced, kept as the reference.
+    fn geometric_trunc_f64<R: Rng>(rng: &mut R, p: f64, max: u32) -> u32 {
+        let mut k = 1;
+        while k < max && rng.gen::<f64>() >= p {
+            k += 1;
+        }
+        k
+    }
+
+    /// Both samplers from the same seed: same `k`, and the same next word
+    /// afterwards (so the same number of words consumed).
+    fn assert_matches_f64(seed: u64, p: f64, max: u32) -> Result<(), TestCaseError> {
+        let mut a = SmallRng::seed_from_u64(seed);
+        let mut b = SmallRng::seed_from_u64(seed);
+        for _ in 0..4 {
+            prop_assert_eq!(
+                geometric_trunc(&mut a, p, max),
+                geometric_trunc_f64(&mut b, p, max),
+                "p={} max={}",
+                p,
+                max
+            );
+            prop_assert_eq!(a.next_u64(), b.next_u64(), "p={} max={}", p, max);
+        }
+        Ok(())
+    }
+
+    /// Replays a fixed word sequence, so a test can draw the words either
+    /// side of a threshold that a random draw hits with chance `2^-53`.
+    struct Words(std::vec::IntoIter<u64>);
+
+    impl RngCore for Words {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn geometric_matches_f64_at_the_threshold() {
+        for p in [1.0, 0.5, 0.000125, 0.0017, 1.0 / (18.71 - 1.0), 1e-300] {
+            let t = (p * (1u64 << 53) as f64).ceil() as u64;
+            for m in [t.saturating_sub(1), t, t + 1, (1 << 53) - 1] {
+                let words = vec![m << 11 | 0x7ff; 3];
+                let int = geometric_trunc(&mut Words(words.clone().into_iter()), p, 3);
+                let float = geometric_trunc_f64(&mut Words(words.into_iter()), p, 3);
+                assert_eq!(int, float, "p={p} m={m}");
+            }
+        }
+    }
+
     proptest! {
+        /// The integer-threshold sampler is the float sampler, word for
+        /// word: random `p` in (0, 1] plus the generator's own parameters.
+        #[test]
+        fn prop_geometric_matches_f64_reference(
+            seed in any::<u64>(),
+            p in 0.0f64..1.0,
+            max in 1u32..=70_000,
+        ) {
+            // (0, 1]: map the half-open draw onto the other end.
+            assert_matches_f64(seed, 1.0 - p, max)?;
+            for fixed in [1.0, 0.000125, 0.0017, 1.0 / (18.71 - 1.0), 1.0 / (16.43 - 1.0)] {
+                assert_matches_f64(seed, fixed, max)?;
+            }
+        }
+
         /// The sampler always returns a valid index.
         #[test]
         fn prop_zipf_in_range(n in 1usize..500, theta in 0.0f64..2.0, seed in any::<u64>()) {

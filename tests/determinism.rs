@@ -197,3 +197,45 @@ fn sampler_is_timing_neutral_for_all_organizations() {
         );
     }
 }
+
+/// Multi-tenant fleet pins. The demo and small fleets place several
+/// tenants on one virtual array (tenants per VA `[1,0,0,0,2,0,0,0,2,0,1,…]`
+/// and `[2,0,1]`), so their reports check the merge of several tenants'
+/// substreams inside a VA and the mapping of each VA's class reports back
+/// to fleet tenants. Both the report and the `RunStats` are pinned, at one
+/// and two threads. (Their tenants never collide on a timestamp; the tie
+/// rule itself is checked by the route-restriction proptest in
+/// tests/parallel.rs.)
+#[test]
+fn multi_tenant_fleet_reports_are_pinned() {
+    let cases = [
+        (
+            "demo",
+            raidsim::FleetConfig::demo(),
+            0x5aa3_2c3f_dccf_a0e5,
+            0xccf7_1b8e_c4e6_b708,
+        ),
+        (
+            "small",
+            raidsim::FleetConfig::small(),
+            0x92ce_2acb_c81c_9316,
+            0xe4d2_d4aa_4b86_aa01,
+        ),
+    ];
+    for (name, fleet, report_pin, stats_pin) in cases {
+        for threads in [1, 2] {
+            let (report, stats) = raidsim::run_fleet(&fleet, threads).expect("fleet runs");
+            let r = fnv1a(format!("{report:#?}").as_bytes());
+            let s = fnv1a(format!("{stats:#?}").as_bytes());
+            println!("fleet-hash {name} threads={threads} report={r:016x} stats={s:016x}");
+            assert_eq!(
+                r, report_pin,
+                "{name} fleet report moved at {threads} threads"
+            );
+            assert_eq!(
+                s, stats_pin,
+                "{name} fleet RunStats moved at {threads} threads"
+            );
+        }
+    }
+}

@@ -6,84 +6,96 @@
 //! (tests/determinism.rs) is what makes the paper's organization
 //! comparisons meaningful.
 
-/// The fleet feeds each virtual array from a pre-split of the routed
-/// master stream, which is sound only if the split is an *exact*
-/// partition of that stream: every record lands in exactly one group (no
-/// loss, no duplication), groups preserve global arrival order, and each
-/// record lands in the group its owner mapping names. Exercised over
-/// random traces with contiguous disk-span → VA mappings, across span
-/// widths and VA counts.
-mod presplit_prop {
+/// The fleet generates and routes each virtual array's tenants inside
+/// that VA's own pool unit, which is sound only if routing one VA's
+/// tenants (in increasing tenant order, at `base_disk` 0, tagged by local
+/// position) equals the fleet-wide route over every tenant restricted to
+/// the VA's disk span and re-based: the same records, in the same order,
+/// with the same tenants. Exercised over random multi-tenant placements,
+/// and over dense specs (`duration_secs` ≈ `n_requests` × 1 ns) whose
+/// streams collide on equal timestamps, so the tie rule (earlier tenant
+/// first) is what decides the order.
+mod route_restriction_prop {
     use proptest::prelude::*;
-    use simkit::SimTime;
-    use tracegen::{AccessType, Trace, TraceRecord};
+    use tracegen::{route, SynthSpec, TenantStream};
 
-    /// Contiguous spans of `arrays` disk groups over `vas` VAs (clamped
-    /// to the group count), the remainder spread one-per-VA from the front
-    /// — the shape of the fleet's disk → VA owner table.
-    fn owner_of(arrays: u32, vas: usize) -> Vec<usize> {
-        let n_vas = vas.min(arrays as usize);
-        let base = arrays as usize / n_vas;
-        let extra = arrays as usize % n_vas;
-        let mut owners = Vec::with_capacity(arrays as usize);
-        for p in 0..n_vas {
-            let width = base + usize::from(p < extra);
-            owners.extend(std::iter::repeat_n(p, width));
-        }
-        owners
+    const BLOCKS_PER_DISK: u64 = 226_800;
+
+    fn spec(seed: u64, n_disks: u32, n_requests: usize, dense: bool) -> SynthSpec {
+        let mut s = SynthSpec::trace2();
+        s.seed = seed;
+        s.n_disks = n_disks;
+        s.blocks_per_disk = BLOCKS_PER_DISK;
+        s.n_requests = n_requests;
+        s.duration_secs = n_requests as f64 * if dense { 1e-9 } else { 1e-3 };
+        s
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn split_is_an_exact_ordered_partition(
-            raw in proptest::collection::vec((0u64..20_000, 0u32..130), 0..200),
-            dpa in 1u32..=13,
-            vas in 1usize..=16,
+        fn per_va_route_equals_the_global_route_restricted(
+            seed in any::<u64>(),
+            widths in proptest::collection::vec(1u32..=4, 1..=5),
+            tenants in proptest::collection::vec((0usize..5, 1usize..=80, any::<bool>()), 1..=8),
         ) {
-            let n_disks = 130u32;
-            let arrays = n_disks.div_ceil(dpa);
-            let mut trace = Trace::new(n_disks, 226_800);
-            let mut now = SimTime::ZERO;
-            for (gap_us, disk) in raw {
-                now += gap_us * 1_000;
-                trace.records.push(TraceRecord {
-                    at: now,
-                    disk,
-                    block: 0,
-                    nblocks: 1,
-                    kind: AccessType::Read,
-                });
-            }
-            let owners = owner_of(arrays, vas);
-            let n_vas = vas.min(arrays as usize);
-            let split = trace.split_arrivals(n_vas, |r| owners[(r.disk / dpa) as usize]);
+            // Contiguous VA spans; tenant `t` sits on VA `pick % vas`.
+            let bases: Vec<u32> = widths
+                .iter()
+                .scan(0, |b, &w| {
+                    *b += w;
+                    Some(*b - w)
+                })
+                .collect();
+            let total: u32 = widths.iter().sum();
+            let va_of: Vec<usize> = tenants.iter().map(|&(pick, ..)| pick % widths.len()).collect();
+            let tenant_spec = |t: usize| {
+                let (_, n, dense) = tenants[t];
+                spec(seed.wrapping_add(t as u64), widths[va_of[t]], n, dense)
+            };
 
-            // Exactly one group per record, preserving global order within
-            // each group — merging the groups back in index order must
-            // reproduce 0..len with no loss or duplication.
-            let mut seen = vec![0u32; trace.len()];
-            for g in 0..n_vas {
-                let idxs = split.group(g);
-                prop_assert!(
-                    idxs.windows(2).all(|w| w[0] < w[1]),
-                    "group {g} reordered records: {idxs:?}"
-                );
-                for &i in idxs {
-                    seen[i as usize] += 1;
-                    let rec = &trace.records[i as usize];
-                    prop_assert_eq!(
-                        owners[(rec.disk / dpa) as usize], g,
-                        "record {} (disk {}) landed in group {} instead of its owner",
-                        i, rec.disk, g
-                    );
+            let global_streams: Vec<TenantStream> = (0..tenants.len())
+                .map(|t| TenantStream {
+                    tenant: t as u16,
+                    base_disk: bases[va_of[t]],
+                    spec: tenant_spec(t),
+                })
+                .collect();
+            let global = route(total, BLOCKS_PER_DISK, &global_streams).unwrap();
+
+            let mut routed_total = 0;
+            for (v, (&base, &width)) in bases.iter().zip(&widths).enumerate() {
+                let on_va: Vec<usize> = (0..tenants.len()).filter(|&t| va_of[t] == v).collect();
+                let local_streams: Vec<TenantStream> = on_va
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| TenantStream {
+                        tenant: i as u16,
+                        base_disk: 0,
+                        spec: tenant_spec(t),
+                    })
+                    .collect();
+                let local = route(width, BLOCKS_PER_DISK, &local_streams).unwrap();
+                routed_total += local.master.len();
+
+                // The global route's records on this VA's span, re-based,
+                // tagged with the tenant's local position.
+                let mut expect_records = Vec::new();
+                let mut expect_tenants = Vec::new();
+                for (r, &t) in global.master.records.iter().zip(&global.tenant_of) {
+                    if (base..base + width).contains(&r.disk) {
+                        let mut r = *r;
+                        r.disk -= base;
+                        expect_records.push(r);
+                        let pos = on_va.iter().position(|&u| u == t as usize);
+                        expect_tenants.push(pos.expect("a record on the span belongs to a tenant of the VA") as u16);
+                    }
                 }
+                prop_assert_eq!(&local.master.records, &expect_records, "VA {} records differ", v);
+                prop_assert_eq!(&local.tenant_of, &expect_tenants, "VA {} tenant tags differ", v);
             }
-            prop_assert!(
-                seen.iter().all(|&c| c == 1),
-                "lost or duplicated records: {seen:?}"
-            );
+            prop_assert_eq!(routed_total, global.master.len(), "per-VA routes lost or duplicated records");
         }
     }
 }
@@ -94,7 +106,8 @@ mod presplit_prop {
 /// a mid-run disk failure on va00 — so this pins byte-identity for the
 /// full heterogeneous matrix at 1 (serial), 2, 3, and 8 VA-level threads,
 /// RunStats included (replay amplification is exactly 1.0 by
-/// construction: every routed arrival lands in exactly one VA).
+/// construction: every arrival is generated inside the one VA that owns
+/// it).
 #[test]
 fn fleet_parallel_matches_serial_bytes_at_every_thread_count() {
     let fleet = raidsim::FleetConfig::demo();
