@@ -13,6 +13,11 @@
 //! cargo run --release -p bench --bin ablations [-- --json PATH]
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an experiment driver: a run missing the stats it requested is a harness bug worth a loud stop"
+)]
+
 use raidsim::{CacheConfig, Discipline, Organization, SimConfig, Simulator};
 use raidtp_stats::Table;
 use tracegen::SynthSpec;

@@ -7,6 +7,11 @@
 //! RAIDTP_T1_SCALE=0.05 figures fig4   # smaller Trace 1 for quick runs
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "reports the wall-clock time each experiment took"
+)]
+
 use bench::experiments::{Experiment, ALL};
 use bench::Workloads;
 

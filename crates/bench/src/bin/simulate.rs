@@ -11,6 +11,11 @@
 //!
 //! Prints the report summary plus the per-disk utilization/access table.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "reports how long the simulation took in wall-clock time"
+)]
+
 use raidsim::{
     run_fleet, CacheConfig, Discipline, DiskFailure, FaultConfig, FleetConfig, Organization,
     ParityPlacement, SimConfig, Simulator, SparingMode, SyncPolicy,

@@ -15,6 +15,12 @@
 //! the *shape* (orderings, crossovers, trends) is the reproduction target,
 //! and `EXPERIMENTS.md` records both sides per experiment.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "the reproduction harness reads RAIDTP_T1_SCALE and stops loudly on a broken built-in experiment"
+)]
+
 pub mod experiments;
 pub mod perf;
 

@@ -72,11 +72,10 @@ impl BlockMap {
     }
 
     #[inline]
+    #[expect(clippy::expect_used, reason = "find() only returns occupied slots")]
     pub(crate) fn get(&self, key: Key) -> Option<usize> {
-        self.find(key).map(|i| {
-            // simlint::allow(panic-policy): find() only returns occupied slots
-            self.slots[i].as_ref().expect("occupied slot").1
-        })
+        self.find(key)
+            .map(|i| self.slots[i].as_ref().expect("occupied slot").1)
     }
 
     #[inline]
@@ -110,7 +109,7 @@ impl BlockMap {
     /// slot, so chains never accumulate tombstone rot).
     pub(crate) fn remove(&mut self, key: Key) -> Option<usize> {
         let mut hole = self.find(key)?;
-        // simlint::allow(panic-policy): find() only returns occupied slots
+        #[expect(clippy::expect_used, reason = "find() only returns occupied slots")]
         let (_, value) = self.slots[hole].take().expect("occupied slot");
         self.len -= 1;
         let mut probe = hole;

@@ -380,7 +380,7 @@ mod tests {
                 |(failed, block)| {
                     let peers = m.peers_of(failed, block);
                     // Peers never include the failed disk and are distinct.
-                    let mut disks = std::collections::HashSet::new();
+                    let mut disks = std::collections::BTreeSet::new();
                     for &(d, _) in &peers {
                         prop_assert!(d != failed);
                         prop_assert!(disks.insert(d));
@@ -466,7 +466,7 @@ mod tests {
                     _ => 4,
                 };
                 prop_assert_eq!(peers.len(), want, "wrong peer count for {}", name);
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = std::collections::BTreeSet::new();
                 for &(d, b) in &peers {
                     prop_assert!(d != failed, "{}: peer on the failed disk", name);
                     prop_assert!(d < *disks, "{}: peer disk out of range", name);

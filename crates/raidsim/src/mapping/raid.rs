@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn locate_is_injective_and_avoids_parity() {
         let m = raid5(4, 2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for laddr in 0..4 * 240u64 {
             let (disk, block) = m.locate(laddr);
             assert!(seen.insert((disk, block)), "collision at laddr {laddr}");
@@ -375,7 +375,7 @@ mod tests {
         ) {
             let bpd = 240u64;
             let m = RaidMap::new(n, bpd, su, true);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for laddr in 0..n as u64 * bpd {
                 prop_assert!(seen.insert(m.locate(laddr)));
             }

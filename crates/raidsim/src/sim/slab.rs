@@ -42,19 +42,28 @@ impl<T> Slab<T> {
     }
 
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a stale index is a scheduler logic bug; corrupting stats silently would be worse than stopping"
+    )]
     pub fn get(&self, i: u32) -> &T {
-        // simlint::allow(panic-policy): a stale index is a scheduler logic bug; corrupting stats silently would be worse than stopping
         self.items[i as usize].as_ref().expect("stale slab index")
     }
 
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a stale index is a scheduler logic bug; corrupting stats silently would be worse than stopping"
+    )]
     pub fn get_mut(&mut self, i: u32) -> &mut T {
-        // simlint::allow(panic-policy): a stale index is a scheduler logic bug; corrupting stats silently would be worse than stopping
         self.items[i as usize].as_mut().expect("stale slab index")
     }
 
     pub fn remove(&mut self, i: u32) -> T {
-        // simlint::allow(panic-policy): double free means two completions for one entity — a correctness bug that must stop the run
+        #[expect(
+            clippy::expect_used,
+            reason = "double free means two completions for one entity — a correctness bug that must stop the run"
+        )]
         let v = self.items[i as usize].take().expect("double free");
         self.free.push(i);
         self.live -= 1;

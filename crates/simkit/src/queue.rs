@@ -218,10 +218,10 @@ impl<E> EventQueue<E> {
     /// Remove and return the entry at `over[home][pos]`, patching the moved
     /// entry's location and dropping the bucket once it empties.
     fn remove_over(&mut self, home: u64, pos: u32) -> Entry<E> {
+        #[expect(clippy::expect_used, reason = "`Loc::Over` always names a live bucket")]
         let bucket = self
             .over
             .get_mut(&home)
-            // simlint::allow(panic-policy): `Loc::Over` always names a live bucket
             .expect("overflow location names a missing bucket");
         let e = bucket.swap_remove(pos as usize);
         if let Some(moved) = bucket.get(pos as usize) {
@@ -382,9 +382,12 @@ impl<E> EventQueue<E> {
         if self.over_min_home().saturating_sub(self.cur) < self.nbuckets() {
             self.migrate_overflow();
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "`len > 0` guarantees an occupied bucket"
+        )]
         let delta = self
             .next_occupied_delta()
-            // simlint::allow(panic-policy): `len > 0` guarantees an occupied bucket
             .expect("live events but empty calendar");
         self.cur += delta;
         let bucket = (self.cur & self.mask as u64) as usize;

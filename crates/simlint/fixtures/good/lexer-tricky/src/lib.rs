@@ -1,10 +1,10 @@
-//! Comments mention HashMap and thread_rng, but comment text is not code.
-/* outer /* nested HashMap block comment */ still commented thread_rng */
+//! Comments mention Mutex and FaultRng::new(1), but comment text is not code.
+/* outer /* nested Mutex block comment */ still commented t_ns as u32 */
 
 pub fn demo() -> String {
-    let plain = "// not a comment: HashMap<K, V> and thread_rng()";
-    let raw = r#"raw "string" with // HashMap and simlint::allow(panic-policy): spoofed"#;
-    let hashy = r##"ends with one hash: "# and keeps going"##;
-    let escaped = "quote \" then // HashMap";
+    let plain = "// not a comment: Mutex<u32> and FaultRng::new(1)";
+    let raw = r#"raw "string" with // t_ns as u32 and simlint::allow(raw-time-cast): spoofed"#;
+    let hashy = r##"ends with one hash: "# and keeps going thread::spawn"##;
+    let escaped = "quote \" then // FaultRng::new(1)";
     format!("{plain}{raw}{hashy}{escaped}")
 }

@@ -1,41 +1,36 @@
-//! # simlint — determinism & invariant lints for the sim-core crates
+//! # simlint — the determinism & seam lints clippy cannot express
 //!
 //! The paper's organization comparisons (Tables 3/4) are only meaningful
 //! because the trace-driven simulation is exactly reproducible: the same
 //! trace and seed must yield the same figures. The Rust compiler cannot
-//! enforce that, so this tool does. It walks every `.rs` file in the
-//! sim-core crates and checks ten domain invariants (plus two
-//! meta-rules about the escape hatch itself):
+//! enforce that alone. Clippy checks the bans it can resolve by path:
+//! `clippy.toml` forbids `HashMap`/`HashSet`, `Instant::now`,
+//! `SystemTime::now` and environment reads, and the workspace lints
+//! `unwrap_used`/`expect_used` carry the library panic policy. This tool
+//! checks the six invariants that are about *where* code lives or what an
+//! identifier *means*, which no clippy lint expresses, over every `.rs`
+//! file in the sim-core crates (plus two meta-rules about the escape
+//! hatch itself):
 //!
-//! 1. **`hash-collection`** — no `std::collections::HashMap`/`HashSet`:
-//!    their iteration order is randomized per process, so any result that
-//!    ever iterates one stops being replayable.
-//! 2. **`ambient-nondet`** — no `Instant::now`, `SystemTime::now`,
-//!    `thread_rng`, `rand::random`, or environment-variable reads: all
-//!    randomness must flow from the seeded RNG in the simulation config.
-//! 3. **`raw-time-cast`** — no `as`-casts on identifiers that name times
+//! 1. **`raw-time-cast`** — no `as`-casts on identifiers that name times
 //!    or durations (`*_ns`, `*_ms`, `*_us`, `*time*`, `tick`, `now`,
 //!    `deadline`) outside `simkit::time`: the `SimTime` newtype and its
 //!    helpers are the only sanctioned unit boundary.
-//! 4. **`panic-policy`** — no `.unwrap()`/`.expect(` in library (non-bin,
-//!    non-test, non-bench) code: parsers and fallible paths return
-//!    `Result`; genuine invariants document themselves via the escape
-//!    hatch below.
-//! 5. **`fault-rng`** — no `FaultRng::new` outside `simkit::fault`, and no
+//! 2. **`fault-rng`** — no `FaultRng::new` outside `simkit::fault`, and no
 //!    stream minting (`latent_stream`, the `splitmix64` mixer) outside the
 //!    fault-stream boundary: fault randomness must be drawn as named
 //!    substreams of a `FaultPlan` (`plan.stream(tag)`) built once at
 //!    fault-state construction, so two consumers can never share — or
 //!    reorder draws from — one generator, and mid-run code (scrub,
 //!    sparing, rebuild) can never re-mint a stream and replay its draws.
-//! 6. **`scheduler-seam`** — the layered-core seams stay sealed:
+//! 3. **`scheduler-seam`** — the layered-core seams stay sealed:
 //!    `DiskScheduler` implementations live only in `diskmodel`, and
 //!    `Organization::` variant dispatch appears only in `raidsim`'s
-//!    config, report, mapping, and `sim/planning` modules. Everything
-//!    else must go through the `OrgPlanner`/`DiskScheduler` traits, so a
-//!    new organization or discipline is one new impl — not a sweep for
-//!    stray `match` arms.
-//! 7. **`par-safety`** — no shared mutable state between independent
+//!    config, report, and mapping modules. Everything else must go
+//!    through the `OrgPlanner`/`DiskScheduler` traits, so a new
+//!    organization or discipline is one new impl — not a sweep for stray
+//!    `match` arms.
+//! 4. **`par-safety`** — no shared mutable state between independent
 //!    units: synchronization primitives (`Mutex`, `RwLock`, `Condvar`,
 //!    atomics, `mpsc` channels, `static mut`, `unsafe impl`,
 //!    `thread::spawn`/`thread::scope`) appear only in the one worker pool
@@ -43,93 +38,70 @@
 //!    hand back owned results that the pool returns in index order —
 //!    anything else would let scheduling races reach the statistics and
 //!    break byte-identical replay.
-//! 8. **`unit-safety`** — no `+`/`-` arithmetic that mixes a
+//! 5. **`unit-safety`** — no `+`/`-` arithmetic that mixes a
 //!    time-suffixed identifier (`*_ns`, `*_us`, `*_ms`, `*time*`) with a
 //!    block/byte/count identifier outside `simkit::time`: adding a
 //!    latency to a block count type-checks (both are `u64`) but is always
 //!    a unit error.
-//! 9. **`layer-boundary`** *(workspace pass)* — calls between the
-//!    simulator's layer modules must follow the declared admission →
-//!    planning → dispatch → faults → reporting flow; a backward call is
-//!    layer erosion and is flagged at the call site (real feedback edges
-//!    are waived, with reasons, in the committed baseline).
-//! 10. **`fleet-boundary`** — virtual arrays exchange state only through
-//!     returned outcomes merged in VA index order, so fleet-interior
-//!     files (`raidsim/src/fleet/` except `run.rs`) must stay plain
-//!     owned data: shared-ownership and interior-mutability types
-//!     (`Rc`, `Arc`, `RefCell`, `Cell`, `UnsafeCell`) are flagged there.
+//! 6. **`fleet-boundary`** — virtual arrays exchange state only through
+//!    returned outcomes merged in VA index order, so fleet-interior
+//!    files (`raidsim/src/fleet/` except `run.rs`) must stay plain
+//!    owned data: shared-ownership and interior-mutability types
+//!    (`Rc`, `Arc`, `RefCell`, `Cell`, `UnsafeCell`) are flagged there.
 //!
 //! A site can opt out with a justified annotation on the same line or the
 //! line directly above:
 //!
 //! ```text
-//! // simlint::allow(panic-policy): index validity is the slab's invariant
+//! // simlint::allow(unit-safety): blocks is a pre-scaled ms contribution here
 //! ```
 //!
-//! An annotation without a reason is itself a diagnostic
-//! (`malformed-allow`), and an annotation that suppresses nothing is
-//! reported as `unused-allow` so stale escapes cannot accumulate. For
-//! whole findings that are accepted architecture (e.g. the
-//! reporting → admission wakeup), the committed `simlint.baseline.toml`
-//! waives a (rule, file, snippet) triple with a reason; see the
-//! [`baseline`] module.
+//! An annotation without a reason, or naming no surviving rule, is itself
+//! a diagnostic (`malformed-allow`), and an annotation that suppresses
+//! nothing is reported as `unused-allow` so stale escapes cannot
+//! accumulate.
 //!
 //! `syn` is unavailable in this offline workspace, so the analysis runs on
 //! a purpose-built lexer ([`lexer`]): comments, string/char literals, and
 //! lifetimes are stripped exactly, `#[cfg(test)]`/`#[test]` items are
-//! skipped, and the rules match on the remaining token stream. The
-//! workspace rules add a lightweight function/call graph ([`graph`]) over
-//! the same tokens. That is deliberately simpler than type resolution —
-//! and catches exactly the textual forms that have bitten simulator
-//! reproducibility in practice.
+//! skipped, and the rules match on the remaining token stream. That is
+//! deliberately simpler than type resolution — and catches exactly the
+//! textual forms that have bitten simulator reproducibility in practice.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
-mod graph;
 mod lexer;
-mod rules;
 mod sarif;
-mod toml;
-mod workspace;
 
+use lexer::Token;
 pub use sarif::to_sarif;
-pub use workspace::{analyze_workspace, WsConfig};
 
 // ---------------------------------------------------------------------------
 // Rules
 // ---------------------------------------------------------------------------
 
-/// The ten determinism/architecture invariants, plus the two meta-rules
+/// The six determinism/architecture invariants, plus the two meta-rules
 /// about the escape-hatch annotations themselves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    HashCollection,
-    AmbientNondet,
     RawTimeCast,
-    PanicPolicy,
     FaultRng,
     SchedulerSeam,
     ParSafety,
     UnitSafety,
-    LayerBoundary,
     FleetBoundary,
     MalformedAllow,
     UnusedAllow,
 }
 
-pub const RULES: [Rule; 12] = [
-    Rule::HashCollection,
-    Rule::AmbientNondet,
+pub const RULES: [Rule; 8] = [
     Rule::RawTimeCast,
-    Rule::PanicPolicy,
     Rule::FaultRng,
     Rule::SchedulerSeam,
     Rule::ParSafety,
     Rule::UnitSafety,
-    Rule::LayerBoundary,
     Rule::FleetBoundary,
     Rule::MalformedAllow,
     Rule::UnusedAllow,
@@ -138,15 +110,11 @@ pub const RULES: [Rule; 12] = [
 impl Rule {
     pub fn name(self) -> &'static str {
         match self {
-            Rule::HashCollection => "hash-collection",
-            Rule::AmbientNondet => "ambient-nondet",
             Rule::RawTimeCast => "raw-time-cast",
-            Rule::PanicPolicy => "panic-policy",
             Rule::FaultRng => "fault-rng",
             Rule::SchedulerSeam => "scheduler-seam",
             Rule::ParSafety => "par-safety",
             Rule::UnitSafety => "unit-safety",
-            Rule::LayerBoundary => "layer-boundary",
             Rule::FleetBoundary => "fleet-boundary",
             Rule::MalformedAllow => "malformed-allow",
             Rule::UnusedAllow => "unused-allow",
@@ -159,21 +127,9 @@ impl Rule {
 
     pub fn hint(self) -> &'static str {
         match self {
-            Rule::HashCollection => {
-                "iteration order is nondeterministic; use BTreeMap/BTreeSet, or annotate \
-                 `// simlint::allow(hash-collection): <reason>` if the map is never iterated"
-            }
-            Rule::AmbientNondet => {
-                "sim-core must be a pure function of (trace, config); route randomness through \
-                 the seeded RNG in the config and take timestamps from simulated time"
-            }
             Rule::RawTimeCast => {
                 "keep times in SimTime and cross units via simkit::time \
                  (from_ns/as_ns/ns_to_ms/busy_fraction) instead of raw `as` casts"
-            }
-            Rule::PanicPolicy => {
-                "library code returns Result; if this is a real invariant, document it with \
-                 `// simlint::allow(panic-policy): <reason>`"
             }
             Rule::FaultRng => {
                 "derive fault randomness as a named substream of the plan \
@@ -198,12 +154,6 @@ impl Rule {
                 "adding or subtracting a time quantity and a block/byte/count quantity is a \
                  unit error even though both are plain integers; convert through the \
                  simkit::time helpers (or rename the identifier if its suffix lies)"
-            }
-            Rule::LayerBoundary => {
-                "this call goes against the declared layer flow (admission → planning → \
-                 dispatch → faults → reporting in simlint.toml [layer-boundary]); route it \
-                 through the downstream layer's interface, or waive the accepted feedback \
-                 edge in simlint.baseline.toml with a reason"
             }
             Rule::FleetBoundary => {
                 "virtual arrays exchange state only through returned outcomes merged in \
@@ -354,11 +304,9 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
 // #[cfg(test)] / #[test] item skipping
 // ---------------------------------------------------------------------------
 
-use lexer::Token;
-
 /// Token-index ranges covered by test-only items (`#[cfg(test)] mod … { }`,
 /// `#[test] fn … { }`), which every rule exempts.
-pub(crate) fn test_item_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
+fn test_item_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -380,20 +328,34 @@ pub(crate) fn test_item_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
 }
 
 /// Does the attribute body mark a test item? Matches `test`,
-/// `cfg(test)`, and `cfg(any(test, …))`.
+/// `cfg(test)`, and `cfg(any(test, …))`. A `test` inside `not(…)` does
+/// not count: `cfg(not(test))` marks production-only code, which every
+/// rule must still see.
 fn attr_is_test(body: &[Token]) -> bool {
-    let first = body.first().and_then(|t| t.ident());
-    let mentions_test = body.iter().any(|t| t.ident() == Some("test"));
-    matches!(first, Some("test") | Some("cfg")) && mentions_test
+    match body.first().and_then(|t| t.ident()) {
+        Some("test") => true,
+        Some("cfg") => {
+            // One entry per open group: was it opened by `not`?
+            let mut negated: Vec<bool> = Vec::new();
+            let mut after_not = false;
+            for t in body {
+                if t.is_punct('(') {
+                    negated.push(after_not);
+                } else if t.is_punct(')') {
+                    negated.pop();
+                } else if t.ident() == Some("test") && !negated.contains(&true) {
+                    return true;
+                }
+                after_not = t.ident() == Some("not");
+            }
+            false
+        }
+        _ => false,
+    }
 }
 
 /// Find the index of the punct closing the group opened at `open_idx`.
-pub(crate) fn matching(
-    tokens: &[Token],
-    open_idx: usize,
-    open: char,
-    close: char,
-) -> Option<usize> {
+fn matching(tokens: &[Token], open_idx: usize, open: char, close: char) -> Option<usize> {
     let mut depth = 0usize;
     for (j, t) in tokens.iter().enumerate().skip(open_idx) {
         if t.is_punct(open) {
@@ -441,47 +403,49 @@ fn skip_item(tokens: &[Token], mut i: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// File classification
+// The linted surface and its sanctioned boundary files
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum FileClass {
-    /// Library source: every rule applies.
-    Library,
-    /// Binary / bench / example / build script: panic-policy exempt.
-    Executable,
-    /// Test source: all rules exempt.
-    Test,
-}
+/// The sim-core source roots a no-paths run lints, relative to the
+/// workspace root.
+pub const SIM_CORE_ROOTS: [&str; 6] = [
+    "crates/simkit/src",
+    "crates/raidsim/src",
+    "crates/diskmodel/src",
+    "crates/nvcache/src",
+    "crates/iochannel/src",
+    "crates/tracegen/src",
+];
 
-pub(crate) fn classify(path: &str) -> FileClass {
-    let norm = path.replace('\\', "/");
-    let file = norm.rsplit('/').next().unwrap_or(&norm);
+/// `_`-separated identifier segments that put a name in the time
+/// vocabulary (any segment containing "time" always does) …
+const TIME_UNITS: [&str; 6] = ["ns", "us", "ms", "tick", "ticks", "deadline"];
+
+/// … or the quantity vocabulary. Adding/subtracting across the two outside
+/// the unit boundary is a `unit-safety` diagnostic; scaling (`*` and `/`)
+/// is how conversions look, so products and quotients are exempt.
+const QUANTITY_UNITS: [&str; 15] = [
+    "block", "blocks", "nblocks", "byte", "bytes", "len", "count", "counts", "cyl", "cyls",
+    "sector", "sectors", "stripe", "stripes", "ops",
+];
+
+/// The sanctioned unit-conversion helpers (`simkit::time`), exempt from
+/// `raw-time-cast` and `unit-safety`.
+const UNIT_BOUNDARY: &str = "simkit/src/time.rs";
+
+/// Is this a test source file (all rules exempt)?
+fn is_test_file(path: &str) -> bool {
+    let file = path.rsplit('/').next().unwrap_or(path);
     let stem = file.strip_suffix(".rs").unwrap_or(file);
-    let in_dir = |name: &str| norm.split('/').rev().skip(1).any(|c| c == name);
-    if in_dir("tests") || file == "tests.rs" || stem.ends_with("_test") || stem.ends_with("_tests")
-    {
-        return FileClass::Test;
-    }
-    if in_dir("bin")
-        || in_dir("benches")
-        || in_dir("examples")
-        || file == "main.rs"
-        || file == "build.rs"
-    {
-        return FileClass::Executable;
-    }
-    FileClass::Library
-}
-
-/// Is this file the sanctioned unit-conversion boundary (`simkit::time`)?
-fn is_time_boundary(path: &str) -> bool {
-    path.replace('\\', "/").ends_with("simkit/src/time.rs")
+    path.split('/').rev().skip(1).any(|c| c == "tests")
+        || file == "tests.rs"
+        || stem.ends_with("_test")
+        || stem.ends_with("_tests")
 }
 
 /// Is this file the sanctioned fault-RNG constructor site (`simkit::fault`)?
 fn is_fault_boundary(path: &str) -> bool {
-    path.replace('\\', "/").ends_with("simkit/src/fault.rs")
+    path.ends_with("simkit/src/fault.rs")
 }
 
 /// May this file *mint* fault-randomness streams (`latent_stream`, the
@@ -491,32 +455,30 @@ fn is_fault_boundary(path: &str) -> bool {
 /// and friends) must draw from streams minted there — re-minting mid-run
 /// replays the same draws and breaks run-to-run byte identity.
 fn is_fault_stream_boundary(path: &str) -> bool {
-    let norm = path.replace('\\', "/");
-    norm.ends_with("simkit/src/fault.rs") || norm.ends_with("raidsim/src/sim/mod.rs")
+    path.ends_with("simkit/src/fault.rs") || path.ends_with("raidsim/src/sim/mod.rs")
 }
 
 /// May this file dispatch on `Organization::` variants? The planner seam
 /// confines organization knowledge to configuration, report labeling, and
-/// the block-address maps. The planning layer itself is no longer exempt:
-/// since planner construction moved behind the label-keyed constructor
-/// registry, `sim/planning.rs` holds no dispatch match, and a regression
-/// that reintroduces one is flagged like any other file.
+/// the block-address maps. The planning layer itself is not exempt: since
+/// planner construction moved behind the label-keyed constructor registry,
+/// `sim/planning.rs` holds no dispatch match, and a regression that
+/// reintroduces one is flagged like any other file.
 fn is_org_boundary(path: &str) -> bool {
-    let norm = path.replace('\\', "/");
-    norm.ends_with("raidsim/src/config.rs")
-        || norm.ends_with("raidsim/src/report.rs")
-        || norm.contains("raidsim/src/mapping")
+    path.ends_with("raidsim/src/config.rs")
+        || path.ends_with("raidsim/src/report.rs")
+        || path.contains("raidsim/src/mapping")
         // Fleet configuration constructs Organization values the same way
         // SimConfig does: the built-in fleets (config.rs) and the spec
         // parser (spec.rs) are configuration, not dispatch.
-        || norm.ends_with("raidsim/src/fleet/config.rs")
-        || norm.ends_with("raidsim/src/fleet/spec.rs")
+        || path.ends_with("raidsim/src/fleet/config.rs")
+        || path.ends_with("raidsim/src/fleet/spec.rs")
 }
 
 /// Is this file inside `diskmodel`, the only crate that may implement
-/// [`DiskScheduler`]?
+/// `DiskScheduler`?
 fn is_scheduler_boundary(path: &str) -> bool {
-    path.replace('\\', "/").contains("diskmodel/src")
+    path.contains("diskmodel/src")
 }
 
 /// May this file own cross-thread shared state? The one worker pool
@@ -524,80 +486,16 @@ fn is_scheduler_boundary(path: &str) -> bool {
 /// arrays, is the only sanctioned home of synchronization primitives in
 /// sim-core.
 fn is_par_boundary(path: &str) -> bool {
-    path.replace('\\', "/").ends_with("raidsim/src/pool.rs")
+    path.ends_with("raidsim/src/pool.rs")
 }
 
-/// Is this a fleet-layer file *other than* the runner? `fleet/run.rs` is the
-/// one place allowed to hold cross-VA machinery; the rest of the fleet layer — config, alloc, report, spec — must stay
-/// plain owned data, so shared-ownership and interior-mutability types are
-/// flagged there ([`Rule::FleetBoundary`]).
+/// Is this a fleet-layer file *other than* the runner? `fleet/run.rs` is
+/// the one place allowed to hold cross-VA machinery; the rest of the fleet
+/// layer — config, alloc, report, spec — must stay plain owned data, so
+/// shared-ownership and interior-mutability types are flagged there
+/// ([`Rule::FleetBoundary`]).
 fn is_fleet_interior(path: &str) -> bool {
-    let norm = path.replace('\\', "/");
-    norm.contains("raidsim/src/fleet/") && !norm.ends_with("raidsim/src/fleet/run.rs")
-}
-
-// ---------------------------------------------------------------------------
-// Lint profiles & per-file analysis units
-// ---------------------------------------------------------------------------
-
-/// Which rule set a file is held to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Profile {
-    /// Sim-core sources: every rule.
-    Strict,
-    /// `tests/` and `crates/bench`: driver code may use wall clocks and
-    /// unwraps freely, but files that *pin determinism hashes* (detected
-    /// by the `[relaxed] hash_pin_markers` identifiers, e.g. `fnv1a`)
-    /// still must not let hash-collection nondeterminism or non-test
-    /// panics near the pinned values.
-    Relaxed,
-}
-
-/// One lexed source file plus everything the passes need to know about it.
-pub(crate) struct FileUnit {
-    pub(crate) display: String,
-    pub(crate) src: String,
-    pub(crate) lexed: lexer::Lexed,
-    pub(crate) class: FileClass,
-    pub(crate) profile: Profile,
-    pub(crate) test_ranges: Vec<(usize, usize)>,
-}
-
-impl FileUnit {
-    pub(crate) fn new(display: String, src: String, profile: Profile) -> FileUnit {
-        let lexed = lexer::lex(&src);
-        let class = classify(&display);
-        let test_ranges = test_item_ranges(&lexed.tokens);
-        FileUnit {
-            display,
-            src,
-            lexed,
-            class,
-            profile,
-            test_ranges,
-        }
-    }
-
-    pub(crate) fn in_test(&self, idx: usize) -> bool {
-        self.test_ranges.iter().any(|&(s, e)| idx >= s && idx < e)
-    }
-
-    /// Does the file pin determinism hashes (relaxed-profile marker)?
-    fn has_marker(&self, markers: &[String]) -> bool {
-        self.lexed.tokens.iter().any(|t| {
-            t.ident()
-                .is_some_and(|id| markers.iter().any(|m| id.contains(m.as_str())))
-        })
-    }
-}
-
-/// Under this file's profile, does `rule` apply at all? (Orthogonal to the
-/// per-rule [`Config`] levels, which the CLI controls.)
-fn rule_in_profile(rule: Rule, profile: Profile) -> bool {
-    match profile {
-        Profile::Strict => true,
-        Profile::Relaxed => matches!(rule, Rule::HashCollection | Rule::PanicPolicy),
-    }
+    path.contains("raidsim/src/fleet/") && !path.ends_with("raidsim/src/fleet/run.rs")
 }
 
 // ---------------------------------------------------------------------------
@@ -609,40 +507,34 @@ const NUMERIC_TYPES: [&str; 14] = [
     "f64",
 ];
 
-/// Does `ident` name a time or duration? Matched per `_`-separated segment
-/// so that e.g. `instant` or `snow` never false-positive.
+/// Does `ident` name a time or duration (for `raw-time-cast`)? Matched per
+/// `_`-separated segment so that e.g. `instant` or `snow` never
+/// false-positive.
 fn is_time_ident(ident: &str) -> bool {
     ident.split('_').any(|seg| {
         let seg = seg.to_ascii_lowercase();
-        matches!(
-            seg.as_str(),
-            "ns" | "ms" | "us" | "now" | "tick" | "ticks" | "deadline"
-        ) || seg.contains("time")
+        TIME_UNITS.contains(&seg.as_str()) || seg == "now" || seg.contains("time")
     })
 }
 
-fn env_read(name: &str) -> bool {
-    matches!(name, "var" | "var_os" | "vars" | "vars_os")
-}
-
 /// Unit class of an identifier for the `unit-safety` rule, decided by its
-/// `_`-separated segments against the configured unit vocabularies.
-/// Ambiguous names (segments from both classes) classify as neither.
+/// `_`-separated segments against the unit vocabularies. Ambiguous names
+/// (segments from both classes) classify as neither.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum UnitClass {
     Time,
     Quantity,
 }
 
-fn unit_class(ident: &str, ws: &WsConfig) -> Option<UnitClass> {
+fn unit_class(ident: &str) -> Option<UnitClass> {
     let mut time = false;
     let mut qty = false;
     for seg in ident.split('_') {
         let seg = seg.to_ascii_lowercase();
-        if ws.units.time_units.contains(&seg) || seg.contains("time") {
+        if TIME_UNITS.contains(&seg.as_str()) || seg.contains("time") {
             time = true;
         }
-        if ws.units.quantity_units.contains(&seg) {
+        if QUANTITY_UNITS.contains(&seg.as_str()) {
             qty = true;
         }
     }
@@ -654,83 +546,29 @@ fn unit_class(ident: &str, ws: &WsConfig) -> Option<UnitClass> {
 }
 
 /// A rule match before directive suppression: (rule, line, col).
-pub(crate) type RawMatch = (Rule, u32, u32);
+type RawMatch = (Rule, u32, u32);
 
-/// Run every per-file rule over one unit. Under the relaxed profile only
-/// hash-collection and panic-policy apply, and only in files that pin
-/// determinism hashes; hash-collection stays live even inside `#[test]`
-/// items there (a nondeterministic collection feeding a pinned hash is the
-/// exact bug the profile exists to catch), while panic-policy keeps the
-/// usual test-item exemption.
-pub(crate) fn per_file_matches(unit: &FileUnit, ws: &WsConfig) -> Vec<RawMatch> {
-    let relaxed = unit.profile == Profile::Relaxed;
-    let class = if relaxed {
-        if unit.has_marker(&ws.hash_pin_markers) {
-            FileClass::Library
-        } else {
-            return Vec::new();
-        }
-    } else {
-        unit.class
-    };
-    if class == FileClass::Test {
-        return Vec::new();
-    }
-
-    let path = unit.display.as_str();
-    let toks = &unit.lexed.tokens;
+/// Run every rule over one file's tokens, skipping test-only items.
+fn rule_matches(path: &str, toks: &[Token]) -> Vec<RawMatch> {
+    let test_ranges = test_item_ranges(toks);
     let mut raw: Vec<RawMatch> = Vec::new();
 
     for i in 0..toks.len() {
-        let in_test = unit.in_test(i);
-        if in_test && !relaxed {
+        if test_ranges.iter().any(|&(s, e)| i >= s && i < e) {
             continue;
         }
-        let mut add = |rule: Rule, line: u32, col: u32| {
-            if relaxed && !rule_in_profile(rule, Profile::Relaxed) {
-                return;
-            }
-            if relaxed && in_test && rule != Rule::HashCollection {
-                return;
-            }
-            raw.push((rule, line, col));
-        };
+        let mut add = |rule: Rule| raw.push((rule, toks[i].line, toks[i].col));
         let path_sep = |j: usize| {
             toks.get(j).is_some_and(|t| t.is_punct(':'))
                 && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
         };
         match toks[i].ident() {
-            Some("HashMap" | "HashSet") => {
-                add(Rule::HashCollection, toks[i].line, toks[i].col);
-            }
-            Some("thread_rng") => {
-                add(Rule::AmbientNondet, toks[i].line, toks[i].col);
-            }
-            Some("Instant" | "SystemTime")
-                if path_sep(i + 1) && toks.get(i + 3).and_then(|t| t.ident()) == Some("now") =>
-            {
-                add(Rule::AmbientNondet, toks[i].line, toks[i].col);
-            }
-            Some("rand")
-                if path_sep(i + 1) && toks.get(i + 3).and_then(|t| t.ident()) == Some("random") =>
-            {
-                add(Rule::AmbientNondet, toks[i].line, toks[i].col);
-            }
-            Some("env")
-                if path_sep(i + 1)
-                    && toks
-                        .get(i + 3)
-                        .and_then(|t| t.ident())
-                        .is_some_and(env_read) =>
-            {
-                add(Rule::AmbientNondet, toks[i].line, toks[i].col);
-            }
             Some("FaultRng")
                 if !is_fault_boundary(path)
                     && path_sep(i + 1)
                     && toks.get(i + 3).and_then(|t| t.ident()) == Some("new") =>
             {
-                add(Rule::FaultRng, toks[i].line, toks[i].col);
+                add(Rule::FaultRng);
             }
             // Stream *minting* is construction too: deriving a substream
             // (`plan.latent_stream(gdisk)`) or mixing a seed by hand
@@ -741,31 +579,31 @@ pub(crate) fn per_file_matches(unit: &FileUnit, ws: &WsConfig) -> Vec<RawMatch> 
                 if !is_fault_stream_boundary(path)
                     && toks.get(i + 1).is_some_and(|t| t.is_punct('(')) =>
             {
-                add(Rule::FaultRng, toks[i].line, toks[i].col);
+                add(Rule::FaultRng);
             }
             Some("Organization") if !is_org_boundary(path) && path_sep(i + 1) => {
-                add(Rule::SchedulerSeam, toks[i].line, toks[i].col);
+                add(Rule::SchedulerSeam);
             }
             Some("Mutex" | "RwLock" | "Condvar" | "mpsc") if !is_par_boundary(path) => {
-                add(Rule::ParSafety, toks[i].line, toks[i].col);
+                add(Rule::ParSafety);
             }
             Some("Rc" | "Arc" | "RefCell" | "Cell" | "UnsafeCell") if is_fleet_interior(path) => {
-                add(Rule::FleetBoundary, toks[i].line, toks[i].col);
+                add(Rule::FleetBoundary);
             }
             Some(id) if !is_par_boundary(path) && id.starts_with("Atomic") => {
-                add(Rule::ParSafety, toks[i].line, toks[i].col);
+                add(Rule::ParSafety);
             }
             Some("static")
                 if !is_par_boundary(path)
                     && toks.get(i + 1).and_then(|t| t.ident()) == Some("mut") =>
             {
-                add(Rule::ParSafety, toks[i].line, toks[i].col);
+                add(Rule::ParSafety);
             }
             Some("unsafe")
                 if !is_par_boundary(path)
                     && toks.get(i + 1).and_then(|t| t.ident()) == Some("impl") =>
             {
-                add(Rule::ParSafety, toks[i].line, toks[i].col);
+                add(Rule::ParSafety);
             }
             Some("thread")
                 if !is_par_boundary(path)
@@ -775,16 +613,16 @@ pub(crate) fn per_file_matches(unit: &FileUnit, ws: &WsConfig) -> Vec<RawMatch> 
                         Some("spawn" | "scope")
                     ) =>
             {
-                add(Rule::ParSafety, toks[i].line, toks[i].col);
+                add(Rule::ParSafety);
             }
             Some("DiskScheduler")
                 if !is_scheduler_boundary(path)
                     && toks.get(i + 1).and_then(|t| t.ident()) == Some("for") =>
             {
-                add(Rule::SchedulerSeam, toks[i].line, toks[i].col);
+                add(Rule::SchedulerSeam);
             }
             Some(id)
-                if !is_time_boundary(path)
+                if !path.ends_with(UNIT_BOUNDARY)
                     && is_time_ident(id)
                     && toks.get(i + 1).and_then(|t| t.ident()) == Some("as")
                     && toks
@@ -792,38 +630,26 @@ pub(crate) fn per_file_matches(unit: &FileUnit, ws: &WsConfig) -> Vec<RawMatch> 
                         .and_then(|t| t.ident())
                         .is_some_and(|t| NUMERIC_TYPES.contains(&t)) =>
             {
-                add(Rule::RawTimeCast, toks[i].line, toks[i].col);
+                add(Rule::RawTimeCast);
             }
             _ => {}
         }
-        // panic-policy: `.unwrap()` / `.expect(` in library code.
-        if class == FileClass::Library
-            && toks[i].is_punct('.')
-            && toks
-                .get(i + 1)
-                .and_then(|t| t.ident())
-                .is_some_and(|id| id == "unwrap" || id == "expect")
-            && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-        {
-            add(Rule::PanicPolicy, toks[i + 1].line, toks[i + 1].col);
-        }
         // unit-safety: `time ± quantity` (or `±=`) outside the unit boundary.
-        if !ws.units.boundary.iter().any(|b| path.ends_with(b.as_str())) {
-            if let Some((line, col)) = unit_mix_at(toks, i, ws) {
-                add(Rule::UnitSafety, line, col);
-            }
+        if !path.ends_with(UNIT_BOUNDARY) && is_unit_mix(toks, i) == Some(true) {
+            add(Rule::UnitSafety);
         }
     }
     raw
 }
 
-/// Detect `X + Y` / `X - Y` / `X += Y` / `X -= Y` at token `i` (the left
-/// operand) where one side names a time and the other a quantity. The right
+/// Is token `i` the left operand of `X + Y` / `X - Y` / `X += Y` /
+/// `X -= Y` where one side names a time and the other a quantity? The right
 /// operand may be a `a.b.c` field chain (classified by its final segment)
 /// or a call (classified by the callee's name). A side followed by `*`/`/`
 /// — or preceded by one, for the left — is skipped: the product's unit is
 /// not the identifier's (`ms_per_block * blocks` is a legitimate mix).
-fn unit_mix_at(toks: &[Token], i: usize, ws: &WsConfig) -> Option<(u32, u32)> {
+/// `None` means the tokens are not such a pair at all.
+fn is_unit_mix(toks: &[Token], i: usize) -> Option<bool> {
     let x = toks[i].ident()?;
     let op = toks.get(i + 1)?;
     if !(op.is_punct('+') || op.is_punct('-')) {
@@ -858,102 +684,32 @@ fn unit_mix_at(toks: &[Token], i: usize, ws: &WsConfig) -> Option<(u32, u32)> {
     {
         return None;
     }
-    let (xu, yu) = (unit_class(x, ws)?, unit_class(y, ws)?);
-    if xu != yu {
-        Some((toks[i].line, toks[i].col))
+    Some(unit_class(x)? != unit_class(y)?)
+}
+
+// ---------------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------------
+
+/// Analyze one source file (given as a string, so unit tests can feed
+/// inline fixtures) and return every diagnostic whose rule is not allowed.
+///
+/// Allow directives suppress matching findings on their own line and the
+/// line directly below; then the meta-rules run over the directives
+/// themselves. `unused-allow` only fires for rules that are enforced — a
+/// directive cannot be "stale" for a rule nobody is checking.
+pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
+    let lexer::Lexed {
+        tokens,
+        mut directives,
+    } = lexer::lex(src);
+    let raw = if is_test_file(path) {
+        Vec::new()
     } else {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Directive application & meta-rules
-// ---------------------------------------------------------------------------
-
-/// Apply allow directives to the raw matches of one file, then run the
-/// meta-rules over the directives themselves. Consumes the unit's
-/// directive `used` state, so call exactly once per file per run.
-pub(crate) fn finish_file(
-    unit: &mut FileUnit,
-    raw: Vec<RawMatch>,
-    cfg: &Config,
-    ws: &WsConfig,
-) -> Vec<Diagnostic> {
-    let lines: Vec<&str> = unit.src.lines().collect();
-    let path = unit.display.as_str();
-    let mut diags = Vec::new();
-
-    // A directive suppresses matching diagnostics on its own line and the
-    // line directly below.
-    for (rule, line, col) in raw {
-        let mut suppressed = false;
-        for d in unit.lexed.directives.iter_mut() {
-            if d.rule == Some(rule) && d.has_reason && (d.line == line || d.line + 1 == line) {
-                d.used = true;
-                suppressed = true;
-            }
-        }
-        if !suppressed && cfg.level(rule) != Level::Allow {
-            diags.push(make_diag(rule, cfg, path, line, col, &lines));
-        }
-    }
-
-    // Meta-rules over the directives. `unused-allow` only fires for rules
-    // that are actually enforced here (by both CLI level and profile) —
-    // a directive cannot be "stale" for a rule nobody is checking. Under
-    // the relaxed profile with no hash-pin marker, nothing is enforced.
-    let enforced_profile = match unit.profile {
-        Profile::Strict => Some(Profile::Strict),
-        Profile::Relaxed if unit.has_marker(&ws.hash_pin_markers) => Some(Profile::Relaxed),
-        Profile::Relaxed => None,
+        rule_matches(path, &tokens)
     };
-    for d in &unit.lexed.directives {
-        match d.rule {
-            Some(rule) if d.has_reason => {
-                let enforced = enforced_profile.is_some_and(|p| rule_in_profile(rule, p));
-                if !d.used
-                    && enforced
-                    && cfg.level(rule) != Level::Allow
-                    && cfg.level(Rule::UnusedAllow) != Level::Allow
-                {
-                    diags.push(make_diag(
-                        Rule::UnusedAllow,
-                        cfg,
-                        path,
-                        d.line,
-                        d.col,
-                        &lines,
-                    ));
-                }
-            }
-            _ => {
-                if cfg.level(Rule::MalformedAllow) != Level::Allow {
-                    diags.push(make_diag(
-                        Rule::MalformedAllow,
-                        cfg,
-                        path,
-                        d.line,
-                        d.col,
-                        &lines,
-                    ));
-                }
-            }
-        }
-    }
-
-    diags.sort_by_key(|d| (d.line, d.col, d.rule));
-    diags
-}
-
-fn make_diag(
-    rule: Rule,
-    cfg: &Config,
-    path: &str,
-    line: u32,
-    col: u32,
-    lines: &[&str],
-) -> Diagnostic {
-    Diagnostic {
+    let lines: Vec<&str> = src.lines().collect();
+    let diag = |rule: Rule, line: u32, col: u32| Diagnostic {
         rule,
         level: cfg.level(rule),
         file: path.to_string(),
@@ -962,31 +718,41 @@ fn make_diag(
         snippet: lines
             .get(line as usize - 1)
             .map_or(String::new(), |l| l.trim().to_string()),
+    };
+    let mut diags = Vec::new();
+
+    for (rule, line, col) in raw {
+        let mut suppressed = false;
+        for d in directives.iter_mut() {
+            if d.rule == Some(rule) && d.has_reason && (d.line == line || d.line + 1 == line) {
+                d.used = true;
+                suppressed = true;
+            }
+        }
+        if !suppressed && cfg.level(rule) != Level::Allow {
+            diags.push(diag(rule, line, col));
+        }
     }
+
+    for d in &directives {
+        let meta = match d.rule {
+            Some(rule) if d.has_reason => {
+                let stale = !d.used && cfg.level(rule) != Level::Allow;
+                stale.then_some(Rule::UnusedAllow)
+            }
+            _ => Some(Rule::MalformedAllow),
+        };
+        if let Some(meta) = meta.filter(|&m| cfg.level(m) != Level::Allow) {
+            diags.push(diag(meta, d.line, d.col));
+        }
+    }
+
+    diags.sort_by_key(|d| (d.line, d.col, d.rule));
+    diags
 }
-
-// ---------------------------------------------------------------------------
-// Public per-file entry points
-// ---------------------------------------------------------------------------
-
-/// Analyze one source file (given as a string, so unit tests can feed
-/// inline fixtures) and return every diagnostic whose rule is not allowed.
-/// Runs the per-file rules under the strict profile; the workspace rule
-/// (`layer-boundary`) needs the whole tree — see
-/// [`analyze_workspace`].
-pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
-    let ws = WsConfig::default();
-    let mut unit = FileUnit::new(path.to_string(), src.to_string(), Profile::Strict);
-    let raw = per_file_matches(&unit, &ws);
-    finish_file(&mut unit, raw, cfg, &ws)
-}
-
-// ---------------------------------------------------------------------------
-// Directory walking
-// ---------------------------------------------------------------------------
 
 /// Collect every `.rs` file under `root`, sorted for deterministic output.
-pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     if root.is_file() {
         out.push(root.to_path_buf());
@@ -1010,28 +776,34 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Analyze every `.rs` file under each root with the per-file rules under
-/// the strict profile. Paths in diagnostics are reported relative to
-/// `strip_prefix` when possible. (Explicit-paths CLI mode; the default
-/// no-paths invocation uses [`analyze_workspace`] instead, which adds the
-/// cross-file rules and the relaxed surface.)
-pub fn analyze_paths(
-    roots: &[PathBuf],
-    strip_prefix: &Path,
+/// Analyze every `.rs` file under each of `roots` (files or directories,
+/// resolved against the workspace `root`; missing roots are skipped).
+/// Diagnostics name files relative to `root` and come back sorted by
+/// (file, line, col, rule).
+pub fn analyze_workspace<P: AsRef<Path>>(
+    root: &Path,
+    roots: &[P],
     cfg: &Config,
-) -> std::io::Result<Vec<Diagnostic>> {
+) -> Result<Vec<Diagnostic>, String> {
     let mut diags = Vec::new();
-    for root in roots {
-        for file in collect_rs_files(root)? {
+    for rel in roots {
+        let dir = root.join(rel);
+        if !dir.exists() {
+            continue;
+        }
+        let files = collect_rs_files(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        for file in files {
             let display = file
-                .strip_prefix(strip_prefix)
+                .strip_prefix(root)
                 .unwrap_or(&file)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let src = std::fs::read_to_string(&file)?;
+            let src =
+                std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
             diags.extend(analyze_source(&display, &src, cfg));
         }
     }
+    diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(diags)
 }
 
@@ -1057,39 +829,15 @@ mod tests {
     }
 
     #[test]
-    fn flags_hash_collections_with_position() {
-        let d = lint("use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32>; }\n");
-        assert_eq!(
-            rules_of(&d),
-            vec![Rule::HashCollection, Rule::HashCollection]
-        );
-        assert_eq!((d[0].line, d[0].col), (1, 23));
-        assert_eq!(d[0].snippet, "use std::collections::HashMap;");
-        assert_eq!(d[1].line, 2);
-        assert_eq!(exit_code(&d), 1);
-    }
-
-    #[test]
-    fn flags_ambient_nondeterminism() {
-        let d = lint(
-            "fn f() {\n    let t = Instant::now();\n    let u = std::time::SystemTime::now();\n    \
-             let r = rand::thread_rng();\n    let x: f64 = rand::random();\n    \
-             let e = std::env::var(\"SEED\");\n}\n",
-        );
-        assert_eq!(d.len(), 5);
-        assert!(d.iter().all(|d| d.rule == Rule::AmbientNondet));
-        assert_eq!(d[0].line, 2);
-        assert_eq!(d[4].line, 6);
-    }
-
-    #[test]
     fn flags_raw_time_casts_but_not_elsewhere_idents() {
         let d = lint(
             "fn f(busy_ns: u64, n: u64) -> f64 {\n    let a = busy_ns as f64;\n    \
              let b = n as f64;\n    let snow = n; let c = snow as f64;\n    a + b + c\n}\n",
         );
         assert_eq!(rules_of(&d), vec![Rule::RawTimeCast]);
-        assert_eq!(d[0].line, 2);
+        assert_eq!((d[0].line, d[0].col), (2, 13));
+        assert_eq!(d[0].snippet, "let a = busy_ns as f64;");
+        assert_eq!(exit_code(&d), 1);
     }
 
     #[test]
@@ -1100,21 +848,6 @@ mod tests {
             &Config::default(),
         );
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn flags_unwrap_and_expect_in_library_code_only() {
-        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() + x.expect(\"y\") }\n";
-        let d = lint(src);
-        assert_eq!(rules_of(&d), vec![Rule::PanicPolicy, Rule::PanicPolicy]);
-        // Same source in a binary or a test file: exempt.
-        for path in [
-            "crates/bench/src/bin/figures.rs",
-            "crates/raidsim/src/sim/tests.rs",
-            "tests/end_to_end.rs",
-        ] {
-            assert!(analyze_source(path, src, &Config::default()).is_empty());
-        }
     }
 
     #[test]
@@ -1253,55 +986,75 @@ mod tests {
     #[test]
     fn cfg_test_items_are_exempt() {
         let d = lint(
-            "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n    \
-             #[test]\n    fn t() { Some(1).unwrap(); let _ = Instant::now(); }\n}\n",
+            "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n    \
+             #[test]\n    fn t(t_ns: u64) { let _ = FaultRng::new(1); t_ns as u32; }\n}\n",
         );
         assert!(d.is_empty(), "{d:?}");
         // …including `#[test] fn` outside a module and `mod tests;` forms.
-        let d = lint("#[test]\nfn t() { Some(1).unwrap(); }\n#[cfg(test)]\nmod tests;\n");
+        let d = lint("#[test]\nfn t(t_ns: u64) { t_ns as u32; }\n#[cfg(test)]\nmod tests;\n");
         assert!(d.is_empty(), "{d:?}");
+        // A test-only predicate nested in `all`/`any` is still test-only.
+        let d = lint(
+            "#[cfg(all(test, not(feature = \"x\")))]\nfn t(t_ns: u64) -> u32 { t_ns as u32 }\n",
+        );
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn cfg_not_test_items_are_linted() {
+        // `cfg(not(test))` is production-only code: every rule sees it.
+        let d = lint("#[cfg(not(test))]\npub fn f(t_ns: u64) -> u32 { t_ns as u32 }\n");
+        assert_eq!(rules_of(&d), vec![Rule::RawTimeCast]);
+        assert_eq!(d[0].line, 2);
+        let d = lint(
+            "#[cfg(any(not(test), feature = \"x\"))]\nstatic G: Mutex<u32> = Mutex::new(0);\n",
+        );
+        assert_eq!(rules_of(&d), vec![Rule::ParSafety, Rule::ParSafety]);
     }
 
     #[test]
     fn code_after_test_module_is_still_checked() {
         let d = lint(
-            "#[cfg(test)]\nmod tests { fn t() { Some(1).unwrap(); } }\n\
-             pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+            "#[cfg(test)]\nmod tests { fn t(t_ns: u64) { t_ns as u32; } }\n\
+             pub fn f(t_ns: u64) -> u32 { t_ns as u32 }\n",
         );
-        assert_eq!(rules_of(&d), vec![Rule::PanicPolicy]);
+        assert_eq!(rules_of(&d), vec![Rule::RawTimeCast]);
         assert_eq!(d[0].line, 3);
     }
 
     #[test]
     fn allow_directive_suppresses_same_and_next_line() {
         let d = lint(
-            "// simlint::allow(panic-policy): slab indices are always live\n\
-             pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+            "// simlint::allow(raw-time-cast): the wire format is 32-bit ticks\n\
+             pub fn f(t_ns: u64) -> u32 { t_ns as u32 }\n",
         );
         assert!(d.is_empty(), "{d:?}");
         let d = lint(
-            "pub fn f(x: Option<u32>) -> u32 { x.unwrap() } // simlint::allow(panic-policy): ok\n",
+            "pub fn f(t_ns: u64) -> u32 { t_ns as u32 } // simlint::allow(raw-time-cast): ok\n",
         );
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn allow_without_reason_is_malformed() {
-        let d = lint(
-            "// simlint::allow(panic-policy)\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        );
-        assert_eq!(rules_of(&d), vec![Rule::MalformedAllow, Rule::PanicPolicy]);
+        let d =
+            lint("// simlint::allow(raw-time-cast)\npub fn f(t_ns: u64) -> u32 { t_ns as u32 }\n");
+        assert_eq!(rules_of(&d), vec![Rule::MalformedAllow, Rule::RawTimeCast]);
     }
 
     #[test]
     fn allow_of_unknown_rule_is_malformed() {
         let d = lint("// simlint::allow(no-such-rule): reason\npub fn f() {}\n");
         assert_eq!(rules_of(&d), vec![Rule::MalformedAllow]);
+        // A rule that moved to clippy is unknown here: its escape is
+        // `#[expect(clippy::…, reason = …)]` now.
+        let d = lint("// simlint::allow(panic-policy): invariant\npub fn f() {}\n");
+        assert_eq!(rules_of(&d), vec![Rule::MalformedAllow]);
     }
 
     #[test]
     fn unused_allow_is_reported() {
-        let d = lint("// simlint::allow(hash-collection): stale excuse\npub fn f() {}\n");
+        let d = lint("// simlint::allow(par-safety): stale excuse\npub fn f() {}\n");
         assert_eq!(rules_of(&d), vec![Rule::UnusedAllow]);
         assert_eq!(d[0].level, Level::Warn);
         assert_eq!(exit_code(&d), 0, "warnings alone never fail the run");
@@ -1310,12 +1063,12 @@ mod tests {
     #[test]
     fn strings_comments_and_lifetimes_never_fire() {
         let d = lint(
-            "/* HashMap in /* nested */ comments */\n\
+            "/* Mutex in /* nested */ comments */\n\
              pub fn f<'a>(s: &'a str) -> String {\n    \
              let c = 'h'; let esc = '\\'';\n    \
-             let x = \"HashMap Instant::now .unwrap()\";\n    \
-             let y = r#\"thread_rng \"quoted\" SystemTime::now\"#;\n    \
-             format!(\"{x}{y}{c}{esc}\")\n}\n// HashMap mentioned in prose is fine\n",
+             let x = \"Mutex FaultRng::new(1) t_ns as u32\";\n    \
+             let y = r#\"thread::spawn \"quoted\" FaultRng::new(1)\"#;\n    \
+             format!(\"{x}{y}{c}{esc}\")\n}\n// Mutex mentioned in prose is fine\n",
         );
         assert!(d.is_empty(), "{d:?}");
     }
@@ -1324,35 +1077,28 @@ mod tests {
     fn levels_and_json_output() {
         let mut cfg = Config::default();
         cfg.set_all(Level::Warn);
-        let d = analyze_source(
-            "crates/simkit/src/lib.rs",
-            "use std::collections::HashMap;\n",
-            &cfg,
-        );
+        let src = "use std::sync::Mutex;\n";
+        let d = analyze_source("crates/simkit/src/lib.rs", src, &cfg);
         assert_eq!(d[0].level, Level::Warn);
         assert_eq!(exit_code(&d), 0);
-        cfg.set_level(Rule::HashCollection, Level::Deny);
-        let d = analyze_source(
-            "crates/simkit/src/lib.rs",
-            "use std::collections::HashMap;\n",
-            &cfg,
-        );
+        cfg.set_level(Rule::ParSafety, Level::Deny);
+        let d = analyze_source("crates/simkit/src/lib.rs", src, &cfg);
         assert_eq!(exit_code(&d), 1);
 
         let json = to_json(&d);
         assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"rule\":\"hash-collection\""));
+        assert!(json.contains("\"rule\":\"par-safety\""));
         assert!(json.contains("\"line\":1"));
         // The snippet is embedded with quotes escaped.
-        assert!(json.contains("use std::collections::HashMap;"));
+        assert!(json.contains("use std::sync::Mutex;"));
     }
 
     #[test]
     fn diagnostic_display_has_file_line_col_and_hint() {
-        let d = lint("use std::collections::HashSet;\n");
+        let d = lint("use std::sync::Mutex;\n");
         let text = d[0].to_string();
-        assert!(text.contains("deny[hash-collection]"), "{text}");
-        assert!(text.contains("crates/simkit/src/lib.rs:1:23"), "{text}");
+        assert!(text.contains("deny[par-safety]"), "{text}");
+        assert!(text.contains("crates/simkit/src/lib.rs:1:16"), "{text}");
         assert!(text.contains("help:"), "{text}");
     }
 
@@ -1415,76 +1161,28 @@ mod tests {
         assert!(d.is_empty(), "{d:?}");
     }
 
-    // --- relaxed profile --------------------------------------------------
-
-    fn lint_relaxed(path: &str, src: &str) -> Vec<Diagnostic> {
-        let ws = WsConfig::default();
-        let mut unit = FileUnit::new(path.to_string(), src.to_string(), Profile::Relaxed);
-        let raw = per_file_matches(&unit, &ws);
-        finish_file(&mut unit, raw, &Config::default(), &ws)
-    }
-
-    #[test]
-    fn relaxed_profile_only_guards_hash_pinning_files() {
-        // A driver-style test file without a hash-pin marker: anything goes.
-        let noisy = "use std::collections::HashMap;\n\
-                     fn helper() { let _ = Instant::now(); Some(1).unwrap(); }\n";
-        assert!(lint_relaxed("tests/end_to_end.rs", noisy).is_empty());
-
-        // The same file pinning determinism hashes: hash-collection and
-        // (non-test) panic-policy come back.
-        let pinning = "use std::collections::HashMap;\n\
-                       fn fnv1a(bytes: &[u8]) -> u64 { 0 }\n\
-                       fn helper() { let _ = Instant::now(); Some(1).unwrap(); }\n";
-        let d = lint_relaxed("tests/determinism.rs", pinning);
-        assert_eq!(
-            rules_of(&d),
-            vec![Rule::HashCollection, Rule::PanicPolicy],
-            "{d:?}"
-        );
-
-        // Inside #[test] items: unwraps stay exempt, but a hash collection
-        // feeding the pinned hash is still flagged.
-        let in_test = "fn fnv1a(bytes: &[u8]) -> u64 { 0 }\n\
-                       #[test]\nfn t() {\n    let m = HashMap::new();\n    Some(1).unwrap();\n}\n";
-        let d = lint_relaxed("tests/determinism.rs", in_test);
-        assert_eq!(rules_of(&d), vec![Rule::HashCollection], "{d:?}");
-        assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
-    fn relaxed_profile_reports_no_stale_allows_for_unenforced_rules() {
-        // ambient-nondet is not enforced under the relaxed profile, so an
-        // (unnecessary) directive for it must not surface as unused-allow.
-        let src = "fn fnv1a() -> u64 { 0 }\n\
-                   // simlint::allow(ambient-nondet): driver timestamping\n\
-                   fn helper() { let _ = Instant::now(); }\n";
-        let d = lint_relaxed("tests/determinism.rs", src);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
     // --- lexer hardening --------------------------------------------------
 
     #[test]
     fn directives_inside_strings_do_not_suppress() {
         // The directive text lives in a string literal, not a comment: the
-        // unwrap on the next line must still be flagged.
+        // cast on the next line must still be flagged.
         let d = lint(
-            "pub fn f(x: Option<u32>) -> u32 {\n    \
-             let _m = \"// simlint::allow(panic-policy): spoofed\";\n    x.unwrap()\n}\n",
+            "pub fn f(t_ns: u64) -> u32 {\n    \
+             let _m = \"// simlint::allow(raw-time-cast): spoofed\";\n    t_ns as u32\n}\n",
         );
-        assert_eq!(rules_of(&d), vec![Rule::PanicPolicy]);
+        assert_eq!(rules_of(&d), vec![Rule::RawTimeCast]);
     }
 
     #[test]
     fn block_comment_directives_suppress_and_are_audited() {
         let d = lint(
-            "/* simlint::allow(panic-policy): checked by caller */\n\
-             pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+            "/* simlint::allow(raw-time-cast): checked by caller */\n\
+             pub fn f(t_ns: u64) -> u32 { t_ns as u32 }\n",
         );
         assert!(d.is_empty(), "{d:?}");
         // A malformed block-comment directive is caught like a line one.
-        let d = lint("/* simlint::allow(panic-policy) */\npub fn f() {}\n");
+        let d = lint("/* simlint::allow(raw-time-cast) */\npub fn f() {}\n");
         assert_eq!(rules_of(&d), vec![Rule::MalformedAllow]);
     }
 
@@ -1493,11 +1191,127 @@ mod tests {
         // `//` and `*/` inside raw strings are content, not comments; the
         // code after them is still live and its violation is still seen.
         let d = lint(
-            "pub fn f() -> u32 {\n    \
-             let _p = r##\"// not a comment \"# still open\" HashMap\"##;\n    \
-             let _q = r#\"/* also not */\"#;\n    Some(1).unwrap()\n}\n",
+            "pub fn f(t_ns: u64) -> u32 {\n    \
+             let _p = r##\"// not a comment \"# still open\" Mutex\"##;\n    \
+             let _q = r#\"/* also not */\"#;\n    t_ns as u32\n}\n",
         );
-        assert_eq!(rules_of(&d), vec![Rule::PanicPolicy]);
+        assert_eq!(rules_of(&d), vec![Rule::RawTimeCast]);
         assert_eq!(d[0].line, 4);
+    }
+
+    // Hash collections, wall clocks, environment reads and unwrap/expect
+    // are banned by clippy (the root `clippy.toml` and the workspace
+    // `[workspace.lints.clippy]`), not by simlint. These tests lint small
+    // sources with `clippy-driver` against that real configuration, so
+    // dropping a ban from either file fails them.
+
+    /// Lint `src`, fed on stdin, with `clippy-driver` and the workspace's
+    /// clippy configuration; return the warnings as `(line, col, message)`.
+    fn clippy(name: &str, src: &str, extra: &[&str]) -> Vec<(u32, u32, String)> {
+        use std::io::Write;
+        use std::process::{Command, Stdio};
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let out = std::env::temp_dir().join(format!(
+            "simlint-clippy-{}-{name}-{}.rmeta",
+            std::process::id(),
+            extra.len()
+        ));
+        let mut child = Command::new("clippy-driver")
+            .env("CLIPPY_CONF_DIR", root)
+            .args(["--edition=2021", "--emit=metadata", "--error-format=short"])
+            .args(["-W", "clippy::unwrap_used", "-W", "clippy::expect_used"])
+            .args(extra)
+            .arg("-o")
+            .arg(&out)
+            .arg("-")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| panic!("cannot run `clippy-driver` ({e}); install clippy"));
+        child
+            .stdin
+            .take()
+            .unwrap_or_else(|| panic!("clippy-driver stdin"))
+            .write_all(src.as_bytes())
+            .unwrap_or_else(|e| panic!("writing to clippy-driver: {e}"));
+        let output = child
+            .wait_with_output()
+            .unwrap_or_else(|e| panic!("waiting for clippy-driver: {e}"));
+        let _ = std::fs::remove_file(&out);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "clippy-driver failed:\n{stderr}");
+        stderr
+            .lines()
+            .filter_map(|l| l.strip_prefix("<anon>:"))
+            .filter_map(|l| {
+                let (pos, msg) = l.split_once(": warning: ")?;
+                let (line, col) = pos.split_once(':')?;
+                Some((line.parse().ok()?, col.parse().ok()?, msg.to_string()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flags_hash_collections_with_position() {
+        let w = clippy(
+            "hash",
+            "use std::collections::HashMap;\n\
+             pub fn f() -> HashMap<u32, u32> { Default::default() }\n\
+             pub fn g() -> std::collections::HashSet<u32> { Default::default() }\n",
+            &["--crate-type=lib"],
+        );
+        let pos: Vec<(u32, u32)> = w.iter().map(|(l, c, _)| (*l, *c)).collect();
+        assert_eq!(pos, vec![(1, 1), (2, 15), (3, 15)], "{w:?}");
+        assert!(w[..2]
+            .iter()
+            .all(|(_, _, m)| m.contains("disallowed type `std::collections::HashMap`")));
+        assert!(w[2]
+            .2
+            .contains("disallowed type `std::collections::HashSet`"));
+    }
+
+    #[test]
+    fn flags_ambient_nondeterminism() {
+        // The vendored `rand` has no `thread_rng` or `random`, so the only
+        // ambient sources left to ban are clocks and the environment.
+        let w = clippy(
+            "ambient",
+            "pub fn f() -> bool {\n    \
+             let t = std::time::Instant::now();\n    \
+             let u = std::time::SystemTime::now();\n    \
+             let e = std::env::var(\"SEED\").is_ok();\n    \
+             let o = std::env::var_os(\"SEED\").is_some();\n    \
+             let n = std::env::vars().count() + std::env::vars_os().count();\n    \
+             e && o && n > 0 && t.elapsed() > u.elapsed().unwrap_or_default()\n}\n",
+            &["--crate-type=lib"],
+        );
+        assert_eq!(w.len(), 6, "{w:?}");
+        assert!(
+            w.iter().all(|(_, _, m)| m.contains("disallowed method")),
+            "{w:?}"
+        );
+        let lines: Vec<u32> = w.iter().map(|(l, _, _)| *l).collect();
+        assert_eq!(lines, vec![2, 3, 4, 5, 6, 6]);
+    }
+
+    #[test]
+    fn flags_unwrap_and_expect_in_library_code_only() {
+        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() + x.expect(\"y\") }\n";
+        let w = clippy("panic-lib", src, &["--crate-type=lib"]);
+        let msgs: Vec<&str> = w.iter().map(|(_, _, m)| m.as_str()).collect();
+        assert_eq!(
+            msgs,
+            vec![
+                "used `unwrap()` on an `Option` value",
+                "used `expect()` on an `Option` value"
+            ]
+        );
+        // The same calls in test code are exempt.
+        let test_src = "#[cfg(test)]\nmod t {\n    \
+                        fn f(x: Option<u32>) -> u32 { x.unwrap() + x.expect(\"y\") }\n    \
+                        #[test]\n    fn t() {\n        assert_eq!(f(Some(1)), 2);\n    }\n}\n";
+        let w = clippy("panic-test", test_src, &["--test"]);
+        assert!(w.is_empty(), "{w:?}");
     }
 }

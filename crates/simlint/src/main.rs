@@ -2,15 +2,13 @@
 //!
 //! ```text
 //! cargo run -p simlint -- --deny                 # CI gate: everything denied
-//! cargo run -p simlint -- --warn hash-collection # demote one rule
+//! cargo run -p simlint -- --warn unit-safety     # demote one rule
 //! cargo run -p simlint -- --format sarif         # code-scanning output
-//! cargo run -p simlint -- --write-baseline       # snapshot current findings
 //! cargo run -p simlint -- path/to/file.rs        # explicit targets
 //! ```
 
 use simlint::{
-    analyze_paths, analyze_workspace, baseline, exit_code, to_json, to_sarif, Config, Level, Rule,
-    WsConfig, RULES,
+    analyze_workspace, exit_code, to_json, to_sarif, Config, Level, Rule, RULES, SIM_CORE_ROOTS,
 };
 use std::path::PathBuf;
 
@@ -22,7 +20,7 @@ enum Format {
 }
 
 const USAGE: &str = "\
-simlint — determinism & invariant lints for the sim-core crates
+simlint — the determinism & seam lints clippy cannot express
 
 USAGE:
     cargo run -p simlint -- [OPTIONS] [PATHS…]
@@ -33,21 +31,14 @@ OPTIONS:
     --allow RULE       disable RULE entirely
     --format FMT       `text` (default), `json`, or `sarif`
     --root DIR         workspace root (default: autodetected)
-    --config FILE      workspace config (default: <root>/simlint.toml)
-    --baseline FILE    waiver file (default: <root>/simlint.baseline.toml)
-    --no-baseline      ignore the waiver file even if present
-    --write-baseline   snapshot the current denied findings as the waiver
-                       file (fill in the reasons before committing), then exit
     --list-rules       print the rules and their default levels
     -h, --help         this help
 
-With no PATHS the whole workspace is analyzed: the sim-core crates under
-the strict profile, tests/ and crates/bench under the relaxed profile, and
-the cross-file rule (layer-boundary) over the function graph, minus the
-committed baseline. With explicit PATHS only the per-file rules run on
-those paths. A site opts out with
-`// simlint::allow(<rule>): <reason>` on the offending or preceding line;
-accepted whole findings live in simlint.baseline.toml with reasons.";
+With no PATHS the sim-core crates are analyzed; otherwise the given files
+and directories are. A site opts out with
+`// simlint::allow(<rule>): <reason>` on the offending or preceding line.
+Hash collections, wall clocks, environment reads and unwrap/expect are
+checked by clippy (clippy.toml and the workspace lints), not here.";
 
 fn main() {
     match run() {
@@ -63,10 +54,6 @@ fn run() -> Result<i32, String> {
     let mut cfg = Config::default();
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut config_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
     let mut paths: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1).peekable();
@@ -110,18 +97,6 @@ fn run() -> Result<i32, String> {
                     args.next().ok_or("--root requires a directory")?,
                 ));
             }
-            "--config" => {
-                config_path = Some(PathBuf::from(
-                    args.next().ok_or("--config requires a file path")?,
-                ));
-            }
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(
-                    args.next().ok_or("--baseline requires a file path")?,
-                ));
-            }
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
             "--list-rules" => {
                 for r in RULES {
                     println!("{:<16} (default: {})", r.name(), r.default_level().name());
@@ -141,51 +116,29 @@ fn run() -> Result<i32, String> {
     }
 
     // Workspace root: the parent of this crate's `crates/` directory, so
-    // the tool works from any invocation directory.
-    let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+    // the tool works from any invocation directory. Explicit paths are
+    // taken relative to the invocation directory.
+    let cwd = std::env::current_dir().map_err(|e| format!("current directory: {e}"))?;
+    let root = match root {
+        Some(r) => cwd.join(r),
+        None => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
             .nth(2)
-            .expect("crate lives at <root>/crates/simlint")
-            .to_path_buf()
-    });
-
-    let mut diags = if paths.is_empty() {
-        let config_path = config_path.unwrap_or_else(|| root.join("simlint.toml"));
-        let ws = WsConfig::load(&config_path)?;
-        analyze_workspace(&root, &ws, &cfg)?
-    } else {
-        if write_baseline {
-            return Err("--write-baseline only applies to whole-workspace runs".into());
-        }
-        analyze_paths(&paths, &root, &cfg).map_err(|e| e.to_string())?
+            .ok_or("simlint must live at <root>/crates/simlint")?
+            .to_path_buf(),
     };
-
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("simlint.baseline.toml"));
-    if write_baseline {
-        let text = baseline::render(&diags);
-        std::fs::write(&baseline_path, &text)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        let n = diags.iter().filter(|d| d.level == Level::Deny).count();
-        eprintln!(
-            "simlint: wrote {n} waiver(s) to {} — fill in each `reason` before committing",
-            baseline_path.display()
-        );
-        return Ok(0);
-    }
-
-    let mut stale: Vec<baseline::Waiver> = Vec::new();
-    if paths.is_empty() && !no_baseline {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(src) => {
-                let waivers = baseline::parse(&src)
-                    .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-                stale = baseline::apply(&mut diags, &waivers);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(format!("{}: {e}", baseline_path.display())),
-        }
-    }
+    let roots: Vec<PathBuf> = if paths.is_empty() {
+        SIM_CORE_ROOTS.iter().map(PathBuf::from).collect()
+    } else {
+        paths
+            .iter()
+            .map(|p| match cwd.join(p) {
+                p if p.exists() => Ok(p),
+                p => Err(format!("{}: no such file or directory", p.display())),
+            })
+            .collect::<Result<_, _>>()?
+    };
+    let diags = analyze_workspace(&root, &roots, &cfg)?;
 
     match format {
         Format::Json => println!("{}", to_json(&diags)),
@@ -198,12 +151,6 @@ fn run() -> Result<i32, String> {
             let warns = diags.len() - denies;
             eprintln!("simlint: {denies} error(s), {warns} warning(s)");
         }
-    }
-    for w in &stale {
-        eprintln!(
-            "simlint: warning: stale baseline waiver ({} @ {}) covers nothing — delete it",
-            w.rule, w.file
-        );
     }
     Ok(exit_code(&diags))
 }

@@ -1,14 +1,20 @@
 //! Golden tests over the fixture corpus (`crates/simlint/fixtures/`).
 //!
-//! Each case is a miniature workspace: its own `simlint.toml` plus a few
-//! source files. `bad/<case>/expected.txt` lists the diagnostics the case
-//! must produce, one per line as `rule file:line`; `good/<case>/` is the
-//! clean twin of a bad case and must produce nothing. Running the real
-//! `analyze_workspace` entry point keeps the corpus honest — a rule that
-//! silently stops firing breaks the bad twin, a rule that over-fires
-//! breaks the good twin.
+//! Each case is a miniature workspace: a few source files under `src/` or
+//! `crates/`, laid out so the path-based boundaries (pool.rs, fault.rs,
+//! time.rs, …) apply as in the real tree. `bad/<case>/expected.txt` lists
+//! the diagnostics the case must produce, one per line as
+//! `rule file:line`; `good/<case>/` is the clean twin of a bad case and
+//! must produce nothing. Running the real `analyze_workspace` entry point
+//! keeps the corpus honest — a rule that silently stops firing breaks the
+//! bad twin, a rule that over-fires breaks the good twin.
 
-use simlint::{analyze_workspace, Config, WsConfig};
+#![allow(
+    clippy::expect_used,
+    reason = "test harness: a broken fixture tree should abort the test"
+)]
+
+use simlint::{analyze_workspace, Config, RULES};
 use std::path::{Path, PathBuf};
 
 fn fixture_root(side: &str) -> PathBuf {
@@ -32,13 +38,21 @@ fn cases(side: &str) -> Vec<PathBuf> {
 }
 
 fn run_case(dir: &Path) -> Vec<String> {
-    let ws = WsConfig::load(&dir.join("simlint.toml"))
-        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
-    let diags = analyze_workspace(dir, &ws, &Config::default())
+    let diags = analyze_workspace(dir, &["src", "crates"], &Config::default())
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
     diags
         .iter()
         .map(|d| format!("{} {}:{}", d.rule.name(), d.file, d.line))
+        .collect()
+}
+
+fn expected(case: &Path) -> Vec<String> {
+    let path = case.join("expected.txt");
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+        .lines()
+        .map(|l| l.trim().to_string())
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .collect()
 }
 
@@ -58,13 +72,7 @@ fn good_fixtures_are_clean() {
 #[test]
 fn bad_fixtures_fire_exactly_the_expected_diagnostics() {
     for case in cases("bad") {
-        let expected_path = case.join("expected.txt");
-        let expected: Vec<String> = std::fs::read_to_string(&expected_path)
-            .unwrap_or_else(|e| panic!("{}: {e}", expected_path.display()))
-            .lines()
-            .map(|l| l.trim().to_string())
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .collect();
+        let expected = expected(&case);
         assert!(
             !expected.is_empty(),
             "{} must expect at least one diagnostic",
@@ -97,5 +105,22 @@ fn every_bad_fixture_has_a_good_twin_or_is_lexer_specific() {
             continue;
         }
         assert!(good.contains(&name), "bad/{name} has no good/{name} twin");
+    }
+}
+
+#[test]
+fn every_rule_fires_in_the_bad_corpus() {
+    let fired: Vec<String> = cases("bad")
+        .iter()
+        .flat_map(|case| expected(case))
+        .collect();
+    for rule in RULES {
+        assert!(
+            fired
+                .iter()
+                .any(|l| l.split(' ').next() == Some(rule.name())),
+            "no bad/ fixture expects `{}`",
+            rule.name()
+        );
     }
 }

@@ -7,6 +7,11 @@
 //! cargo run --release -p raidsim --example trace_tooling
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example: a failed temp-file round trip should stop it loudly"
+)]
+
 use raidsim::{Organization, ParityPlacement, SimConfig, Simulator};
 use tracegen::{fmt, transform, SynthSpec, TraceStats};
 

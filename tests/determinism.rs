@@ -8,9 +8,11 @@
 //! must differ, proving the seed actually reaches the model instead of
 //! being ignored.
 //!
-//! The static half of this guarantee is `cargo run -p simlint -- --deny`,
-//! which keeps nondeterminism (hash iteration, wall-clock reads, ambient
-//! RNG) out of the sim-core crates in the first place.
+//! The static half of this guarantee keeps nondeterminism out of the
+//! sim-core crates in the first place: clippy's `clippy.toml` bans hash
+//! iteration, wall-clock and environment reads, and
+//! `cargo run -p simlint -- --deny` guards the fault-stream and
+//! parallelism seams.
 
 use raidsim::{
     CacheConfig, DiskFailure, FaultConfig, NamedRun, Organization, ParityPlacement, SimConfig,

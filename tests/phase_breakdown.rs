@@ -3,6 +3,11 @@
 //! host-observed response time — and turning the observability features on
 //! does not perturb the simulated timing at all.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helper: a missing event log should fail the test loudly"
+)]
+
 use raidsim::{
     CacheConfig, ObservabilityConfig, Organization, ParityPlacement, SimConfig, Simulator,
 };
