@@ -22,19 +22,48 @@ use raidsim::{
 };
 use tracegen::{fmt, transform, SynthSpec, Trace};
 
-struct Args(Vec<String>);
+/// Options that take a value, and bare flags: exactly the usage text.
+const VALUED: &str = "--fleet --threads --org --n --su --placement --band --sync --sched \
+    --cache --destage --failed --fail-disk --second-fail --spares --sparing --rebuild-rate \
+    --latent-rate --scrub-rate --transient-p --max-retries --battery-fail --battery-restore \
+    --trace --trace-file --scale --speed --seed --sample-ms --event-log";
+const FLAGS: &str = "--help -h --sched-stats --spare --no-spare --allow-idle-faults --phases";
+
+/// The command line as `(option, value)` pairs, in order.
+struct Args(Vec<(String, Option<String>)>);
 
 impl Args {
+    /// Split `argv` into options. An option the usage text does not list,
+    /// or a valued option with no value, is an error rather than ignored.
+    fn new(argv: impl IntoIterator<Item = String>) -> Args {
+        let mut argv = argv.into_iter();
+        let mut opts = Vec::new();
+        while let Some(name) = argv.next() {
+            let listed = |opts: &str| opts.split_whitespace().any(|o| o == name);
+            let value = if listed(VALUED) {
+                Some(
+                    argv.next()
+                        .unwrap_or_else(|| die(&format!("{name} needs a value"))),
+                )
+            } else if listed(FLAGS) {
+                None
+            } else {
+                die(&format!("unknown option {name}"))
+            };
+            opts.push((name, value));
+        }
+        Args(opts)
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         self.0
             .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+            .find(|(n, _)| n == name)
+            .and_then(|(_, v)| v.as_deref())
     }
 
     fn flag(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
+        self.0.iter().any(|(n, _)| n == name)
     }
 
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
@@ -85,8 +114,9 @@ fn parse_fail_disk(spec: &str) -> DiskFailure {
         s.parse().unwrap_or_else(|_| die("bad --fail-disk time"))
     } else if let Some(s) = time.strip_suffix('s') {
         s.parse::<u64>()
-            .unwrap_or_else(|_| die("bad --fail-disk time"))
-            * 1000
+            .ok()
+            .and_then(|secs| secs.checked_mul(1000))
+            .unwrap_or_else(|| die("bad --fail-disk time"))
     } else {
         time.parse().unwrap_or_else(|_| die("bad --fail-disk time"))
     };
@@ -169,7 +199,7 @@ fn run_fleet_cli(args: &Args, spec: &str) -> ! {
 }
 
 fn main() {
-    let args = Args(std::env::args().skip(1).collect());
+    let args = Args::new(std::env::args().skip(1));
     if args.flag("--help") || args.flag("-h") {
         die("help requested");
     }
@@ -286,7 +316,17 @@ fn main() {
 
     // --- workload ----------------------------------------------------------
     let scale: f64 = args.parse("--scale", 0.1);
+    if scale.is_nan() || scale <= 0.0 || scale > 1.0 {
+        die(&format!(
+            "--scale {scale} is out of range: need 0 < scale <= 1"
+        ));
+    }
     let speed: f64 = args.parse("--speed", 1.0);
+    if !speed.is_finite() || speed <= 0.0 {
+        die(&format!(
+            "--speed {speed} is out of range: need a finite speed > 0"
+        ));
+    }
     let trace: Trace = if let Some(path) = args.get("--trace-file") {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
@@ -294,7 +334,7 @@ fn main() {
     } else {
         let spec = match args.get("--trace").unwrap_or("trace2") {
             "trace1" => SynthSpec::trace1().scaled(scale),
-            "trace2" => SynthSpec::trace2().scaled(scale.clamp(f64::MIN_POSITIVE, 1.0)),
+            "trace2" => SynthSpec::trace2().scaled(scale),
             other => die(&format!("unknown trace {other}")),
         };
         spec.generate()
