@@ -20,6 +20,10 @@ const TINY: &str = "--org raid5 --trace trace2 --scale 0.01";
 
 #[test]
 fn bad_input_is_a_clean_error() {
+    // A trace file whose one run ends past u64::MAX: the end must not wrap
+    // into an inferred zero-block disk that the run then fits.
+    let overflow = std::env::temp_dir().join(format!("simulate-cli-{}.trace", std::process::id()));
+    std::fs::write(&overflow, "5 0 18446744073709551615 1 R\n").expect("temp trace written");
     let cases = [
         // A misspelt option, and a valued option with no value.
         format!("{TINY} --cahce 16"),
@@ -35,6 +39,8 @@ fn bad_input_is_a_clean_error() {
         format!("{TINY} --speed inf"),
         // A fault time whose conversion to milliseconds overflows.
         format!("{TINY} --allow-idle-faults --fail-disk 3@99999999999999999s"),
+        // A trace file the parser must reject.
+        format!("--org base --trace-file {}", overflow.display()),
     ];
     for args in &cases {
         let out = simulate(args);
@@ -43,6 +49,7 @@ fn bad_input_is_a_clean_error() {
         assert!(stderr.starts_with("error:"), "`{args}`: {stderr}");
         assert!(!stderr.contains("panicked"), "`{args}`: {stderr}");
     }
+    let _ = std::fs::remove_file(&overflow);
 }
 
 #[test]

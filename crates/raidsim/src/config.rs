@@ -58,6 +58,22 @@ impl Organization {
         )
     }
 
+    /// Whether the organization survives a disk loss (everything but
+    /// `Base`): gates degraded operation, latent-error repair, and the
+    /// escalation of an exhausted retry budget into a permanent failure.
+    pub fn has_redundancy(&self) -> bool {
+        !matches!(self, Organization::Base)
+    }
+
+    /// Whether, given an NV cache, parity updates are buffered in a spool
+    /// instead of hitting the parity disk inline. Only RAID4: its dedicated
+    /// parity disk is the bottleneck, and the controller absorbs parity
+    /// updates into a spool drained as background elevator sweeps
+    /// (Section 4.2).
+    pub fn caches_parity(&self, cache_present: bool) -> bool {
+        cache_present && matches!(self, Organization::Raid4 { .. })
+    }
+
     pub fn label(&self) -> &'static str {
         match self {
             Organization::Base => "Base",
@@ -394,7 +410,7 @@ impl SimConfig {
             _ => {}
         }
         if let Some((_, disk)) = self.failed_disk {
-            if self.organization == Organization::Base {
+            if !self.organization.has_redundancy() {
                 return Err("Base has no redundancy: cannot run degraded".into());
             }
             if disk >= self.organization.disks_per_array(self.data_disks_per_array) {
@@ -415,7 +431,7 @@ impl SimConfig {
         if let Some(f) = &self.fault {
             let dpa = self.organization.disks_per_array(self.data_disks_per_array);
             if let Some(df) = f.disk_failure {
-                if self.organization == Organization::Base {
+                if !self.organization.has_redundancy() {
                     return Err("Base has no redundancy: cannot survive a disk failure".into());
                 }
                 if df.disk >= dpa {
@@ -443,10 +459,10 @@ impl SimConfig {
             if !(f.latent_rate_per_hour.is_finite() && f.latent_rate_per_hour >= 0.0) {
                 return Err("latent_rate_per_hour must be finite and ≥ 0".into());
             }
-            if f.latent_rate_per_hour > 0.0 && self.organization == Organization::Base {
+            if f.latent_rate_per_hour > 0.0 && !self.organization.has_redundancy() {
                 return Err("Base has no redundancy: latent sector errors are unrepairable".into());
             }
-            if f.scrub_rate_mbps > 0 && self.organization == Organization::Base {
+            if f.scrub_rate_mbps > 0 && !self.organization.has_redundancy() {
                 return Err("Base has no redundancy: scrubbing has nothing to repair from".into());
             }
             if !(0.0..1.0).contains(&f.transient_error_prob) {
@@ -716,6 +732,36 @@ mod tests {
         assert!(cfg.validate().is_ok());
         cfg.observability.sample_period_ms = Some(0);
         assert!(cfg.validate().is_err(), "zero sample period rejected");
+    }
+
+    /// The two policy predicates the simulator reads off the organization:
+    /// redundancy (degraded operation, retry escalation) and RAID4-only
+    /// parity spooling behind an NV cache.
+    #[test]
+    fn redundancy_and_parity_caching_by_organization() {
+        let table = [
+            (Organization::Base, false, false),
+            (Organization::Mirror, true, false),
+            (Organization::Raid5 { striping_unit: 1 }, true, false),
+            (Organization::Raid4 { striping_unit: 1 }, true, true),
+            (
+                Organization::ParityStriping {
+                    placement: ParityPlacement::Middle,
+                },
+                true,
+                false,
+            ),
+        ];
+        for (org, redundant, spools_with_cache) in table {
+            assert_eq!(org.has_redundancy(), redundant, "{}", org.label());
+            assert_eq!(
+                org.caches_parity(true),
+                spools_with_cache,
+                "{}",
+                org.label()
+            );
+            assert!(!org.caches_parity(false), "{}", org.label());
+        }
     }
 
     #[test]

@@ -20,16 +20,13 @@
 use super::config::{DiskClass, FleetConfig, TenantSpec, VirtualArraySpec};
 use crate::config::{CacheConfig, Organization, SimConfig};
 
-/// One planned virtual array: its spec resolved against the disk pool,
-/// pinned to a contiguous span of fleet-global logical disks.
+/// One planned virtual array: its spec resolved against the disk pool.
 #[derive(Clone, Debug)]
 pub struct VaPlan {
     pub name: String,
     pub organization: Organization,
     pub disk_class: String,
-    /// First fleet-global logical disk of this VA's span.
-    pub base_disk: u32,
-    /// Span width = logical data disks.
+    /// Logical data disks.
     pub data_disks: u32,
     /// Ready-to-run simulator configuration (shared fleet seed, class
     /// geometry and seek, per-VA cache and fault plan).
@@ -80,22 +77,21 @@ pub(super) fn va_sim_config(
             size_mb: mb,
             ..CacheConfig::default()
         }),
-        // One seed for the whole fleet: disk models become a pure function
-        // of (class, index), so VAs of the same class share a warm pool.
+        // One seed for the whole fleet: disk models are a pure function of
+        // (class, index), so two VAs of one class get identical drives.
         seed: fleet.seed,
         fault: va.fault,
         ..SimConfig::default()
     }
 }
 
-/// Resolve the fleet spec into a plan: validate, pin VA spans, place every
-/// tenant by best fit. Errors name the offending tenant and the exhausted
-/// resource.
+/// Resolve the fleet spec into a plan: validate, resolve every VA against
+/// its disk class, place every tenant by best fit. Errors name the
+/// offending tenant and the exhausted resource.
 pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
     fleet.validate()?;
 
     let mut vas = Vec::with_capacity(fleet.arrays.len());
-    let mut base = 0u32;
     // Residual capability per VA: physical accesses/sec and blocks.
     let mut resid_bw = Vec::with_capacity(fleet.arrays.len());
     let mut resid_cap = Vec::with_capacity(fleet.arrays.len());
@@ -113,12 +109,10 @@ pub fn allocate(fleet: &FleetConfig) -> Result<FleetPlan, String> {
             name: va.name.clone(),
             organization: va.organization,
             disk_class: va.disk_class.clone(),
-            base_disk: base,
             data_disks: va.data_disks,
             config: va_sim_config(fleet, va, class),
             tenants: Vec::new(),
         });
-        base += va.data_disks;
     }
 
     let mut placement = Vec::with_capacity(fleet.tenants.len());
@@ -180,12 +174,6 @@ mod tests {
         let b = allocate(&fleet).unwrap();
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.placement.len(), fleet.tenants.len());
-        // Spans are contiguous and disjoint in declaration order.
-        let mut expect = 0;
-        for va in &a.vas {
-            assert_eq!(va.base_disk, expect);
-            expect += va.data_disks;
-        }
         // Every placed tenant is recorded on its VA.
         for (t, &v) in a.placement.iter().enumerate() {
             assert!(a.vas[v].tenants.contains(&t));

@@ -57,8 +57,8 @@ pub struct TenantSpec {
 /// the tenants demanding placement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct FleetConfig {
-    /// Fleet seed: shared by every VA's simulator (so warm disk pools are
-    /// shareable per disk class) and mixed per-tenant for trace substreams.
+    /// Fleet seed: shared by every VA's simulator (spindle phases) and mixed
+    /// per-tenant for trace substreams.
     pub seed: u64,
     /// Length of every tenant's generated substream, seconds.
     pub duration_secs: f64,

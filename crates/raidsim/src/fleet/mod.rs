@@ -15,12 +15,11 @@
 //!   field, never panics).
 //! - [`alloc`]: [`allocate`] — a single-pass best-fit planner on bandwidth
 //!   and capacity, turning tenant demands into placements on VAs and VAs
-//!   into per-VA [`crate::SimConfig`]s over contiguous fleet-global logical
-//!   disk spans.
+//!   into per-VA [`crate::SimConfig`]s.
 //! - [`run`]: [`run_fleet`] — each VA is one pool unit: it generates its
 //!   own tenants' seeded substreams, merges them through
 //!   [`tracegen::route`] (ties: earlier tenant first), and simulates the
-//!   result with a per-disk-class warm-start pool. Every record is
+//!   result on its own [`crate::Simulator`]. Every record is
 //!   generated inside the one VA that owns it, so replay amplification is
 //!   1.0 by construction. VAs run serially or work-stealing-parallel and
 //!   merge in VA index order, so the parallel run is byte-identical to the

@@ -16,22 +16,16 @@
 //! listed in increasing tenant index, so the tie rule (equal timestamps →
 //! earlier tenant first) orders a VA's records exactly as a fleet-wide
 //! merge would.
-//!
-//! Warm-start pools are shared per **disk class**: every VA's `SimConfig`
-//! carries the fleet seed and its class's geometry and seek curve, which
-//! are exactly the parameters [`crate::WarmDisks::matches`] checks, so one
-//! pool per class warm-starts every VA of that class (cold fallback remains
-//! byte-identical by the single-array warm-start contract).
 
 use super::alloc::{allocate, FleetPlan, VaPlan};
 use super::config::FleetConfig;
 use super::report::{FleetReport, VaOutcome};
 use crate::pool;
-use crate::sim::{RunStats, WarmPools};
+use crate::sim::{RunStats, Simulator};
 use tracegen::{route, SynthSpec, TenantStream};
 
 /// Tenant `t`'s substream spec: the Trace-2 OLTP shape re-skinned with the
-/// tenant's demand, skew, and write mix over the span of `va`, its VA.
+/// tenant's demand, skew, and write mix over the data disks of `va`, its VA.
 fn tenant_spec(fleet: &FleetConfig, va: &VaPlan, t: usize) -> SynthSpec {
     let tenant = &fleet.tenants[t];
     let mut spec = SynthSpec::trace2();
@@ -67,14 +61,8 @@ fn va_streams(fleet: &FleetConfig, plan: &FleetPlan, v: usize) -> Vec<TenantStre
         .collect()
 }
 
-/// Generate, route, and simulate virtual array `v` (warm-started from its
-/// class pool).
-fn run_va(
-    fleet: &FleetConfig,
-    plan: &FleetPlan,
-    v: usize,
-    pools: &WarmPools,
-) -> Result<VaOutcome, String> {
+/// Generate, route, and simulate virtual array `v`.
+fn run_va(fleet: &FleetConfig, plan: &FleetPlan, v: usize) -> Result<VaOutcome, String> {
     let va = &plan.vas[v];
     let streams = va_streams(fleet, plan, v);
     let routed = route(
@@ -83,7 +71,7 @@ fn run_va(
         &streams,
     )?;
     let arrivals = routed.master.len() as u64;
-    let mut sim = pools.simulator(va.config.clone(), &routed.master)?;
+    let mut sim = Simulator::try_new(va.config.clone(), &routed.master)?;
     sim.set_classes(routed.tenant_of, streams.len() as u16)?;
     let (report, stats, classes) = sim.run_classed();
     Ok(VaOutcome {
@@ -99,14 +87,7 @@ fn run_va(
 /// count returns byte-identical results.
 pub fn run_fleet(fleet: &FleetConfig, threads: usize) -> Result<(FleetReport, RunStats), String> {
     let plan = allocate(fleet)?;
-
-    // One warm pool per disk class, sized for the class's largest VA.
-    let pools = WarmPools::new(
-        plan.vas
-            .iter()
-            .map(|va| (&va.config, va.config.total_disks(va.data_disks))),
-    );
-    let out = pool::map(plan.vas.len(), threads, |v| run_va(fleet, &plan, v, &pools));
+    let out = pool::map(plan.vas.len(), threads, |v| run_va(fleet, &plan, v));
 
     // Merge in VA index order — completion order never leaks into the
     // report, which is what keeps every thread count byte-identical.

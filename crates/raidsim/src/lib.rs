@@ -48,5 +48,5 @@ pub use report::{
     ClassReport, FaultReport, PhaseSample, PhaseWelfords, ReliabilityReport, SchedulerReport,
     SimReport,
 };
-pub use sim::{PartStats, RunStats, Simulator, WarmDisks};
+pub use sim::{PartStats, RunStats, Simulator};
 pub use sweep::{run_all, NamedRun};

@@ -38,7 +38,7 @@ impl<'t> Simulator<'t> {
         let rec = &rec;
         let array = rec.disk / self.n;
         let ldisk = rec.disk % self.n;
-        let laddr = (ldisk as u64 * self.bpd + rec.block) % self.planner.logical_capacity();
+        let laddr = (ldisk as u64 * self.bpd + rec.block) % self.map.logical_capacity();
         let now = self.engine.now();
         let serial = self.req_serial;
         self.req_serial += 1;
@@ -109,7 +109,7 @@ impl<'t> Simulator<'t> {
 
     fn noncached_read(&mut self, req: u32, array: u32, laddr: u64, n: u32) {
         if let Some(f) = self.failed_in(array) {
-            let degraded = self.planner.degraded_read_runs(laddr, n, f);
+            let degraded = self.map.degraded_read_runs(laddr, n, f);
             if self.dataloss[array as usize] && !degraded.reconstruct.is_empty() {
                 // The reconstruction sources died with the second failure:
                 // the blocks under the failed slot are gone. Count the lost
@@ -139,7 +139,7 @@ impl<'t> Simulator<'t> {
             }
             return;
         }
-        for run in self.planner.read_runs(laddr, n) {
+        for run in self.map.read_runs(laddr, n) {
             let run = self.choose_replica(array, run);
             self.read_op(req, array, run, OpRole::HostRead);
         }

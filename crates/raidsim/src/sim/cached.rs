@@ -1,7 +1,6 @@
 //! Cached-controller request handling: LRU cache front-end, synchronous
 //! writebacks, the periodic destage process, and RAID4 parity spooling.
 
-use super::planning::OrgPlanner;
 use super::{DestageJob, DiskOp, EnqueueRule, Ev, OpMarks, OpRole, ParityJob, Simulator, WriteOps};
 use crate::mapping::StripeMode;
 use diskmodel::{AccessKind, Band, DiskScheduler};
@@ -18,7 +17,7 @@ impl<'t> Simulator<'t> {
     }
 
     fn laddr_of_key(&self, key: BlockKey) -> u64 {
-        ((key.disk % self.n) as u64 * self.bpd + key.block) % self.planner.logical_capacity()
+        ((key.disk % self.n) as u64 * self.bpd + key.block) % self.map.logical_capacity()
     }
 
     pub(super) fn cached_read(&mut self, req: u32, rec: &TraceRecord, array: u32, _laddr: u64) {
@@ -52,10 +51,10 @@ impl<'t> Simulator<'t> {
                 let nblocks = (i - seg_start + 1) as u32;
                 let (direct, reconstruct) = match self.failed_in(array) {
                     Some(f) => {
-                        let d = self.planner.degraded_read_runs(laddr, nblocks, f);
+                        let d = self.map.degraded_read_runs(laddr, nblocks, f);
                         (d.direct, d.reconstruct)
                     }
-                    None => (self.planner.read_runs(laddr, nblocks), Vec::new()),
+                    None => (self.map.read_runs(laddr, nblocks), Vec::new()),
                 };
                 for run in direct.into_iter().chain(reconstruct) {
                     let run = self.choose_replica(array, run);

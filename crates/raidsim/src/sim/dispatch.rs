@@ -256,7 +256,7 @@ impl<'t> Simulator<'t> {
                         .schedule_after(policy.backoff_ns(attempts), Ev::Issue([token].into()));
                     return;
                 }
-                if self.planner.has_redundancy() && self.fully_healthy() {
+                if self.cfg.organization.has_redundancy() && self.fully_healthy() {
                     if let Some(f) = self.fault.as_mut() {
                         f.escalations += 1;
                     }

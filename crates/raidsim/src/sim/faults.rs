@@ -570,11 +570,11 @@ impl<'t> Simulator<'t> {
         };
         let mut runs: Vec<Run> = Vec::new();
         let mut reconstructed = false;
-        if let Some(alt) = self.planner.mirror_of(lost) {
+        if let Some(alt) = self.map.mirror_of(lost) {
             runs.push(alt);
         } else {
             for b in 0..op.nblocks as u64 {
-                for (disk, block) in self.planner.peers_of(local, op.block + b) {
+                for (disk, block) in self.map.peers_of(local, op.block + b) {
                     crate::mapping::push_merged(&mut runs, disk, block);
                 }
             }
@@ -695,7 +695,7 @@ impl<'t> Simulator<'t> {
         // only merges against the last run pushed).
         let mut pairs: Vec<(u32, u64)> = Vec::new();
         for b in cursor..cursor + batch as u64 {
-            pairs.extend(self.planner.peers_of(local, b));
+            pairs.extend(self.map.peers_of(local, b));
         }
         pairs.sort_unstable();
         // A reconstruction source carrying a latent error makes its stripe
@@ -948,7 +948,7 @@ impl<'t> Simulator<'t> {
         let mut repair_runs: Vec<Run> = Vec::new();
         let mut lost = 0u64;
         for &b in marred {
-            let peers = self.planner.peers_of(local, b);
+            let peers = self.map.peers_of(local, b);
             if peers.is_empty() {
                 lost += 1; // e.g. the Parity Striping tail sliver
                 continue;

@@ -12,10 +12,10 @@
 //! * **admission** ([`admission`], with `cached` as its NV-cache front-end)
 //!   — trace feed, track-buffer/array admission control, record → request
 //!   decomposition.
-//! * **planning** ([`planning`]) — one `OrgPlanner` per organization turns
-//!   logical addresses into per-disk operations (healthy and degraded),
-//!   backed by `mapping::OrgMap`. The only simulator code that knows which
-//!   organization is running.
+//! * **planning** ([`planning`]) — turns the organization's
+//!   `mapping::OrgMap` plans (healthy and degraded) into per-disk
+//!   operations and parity jobs. The map, held as `Simulator::map`,
+//!   answers every address question that differs by organization.
 //! * **dispatch** ([`dispatch`]) — per-drive queues behind the
 //!   `diskmodel::DiskScheduler` seam (FCFS — the paper's discipline — by
 //!   default; SSTF and SCAN selectable), service start/completion, parity
@@ -30,8 +30,8 @@
 //!
 //! ## Event flow
 //!
-//! Requests arrive at trace-specified times and are decomposed by the
-//! organization's planner into per-disk operations. Disks serve three
+//! Requests arrive at trace-specified times and are decomposed through the
+//! organization's address map into per-disk operations. Disks serve three
 //! bands (parity-priority / normal / background) under the configured
 //! discipline; when an operation starts service its media timing is fully
 //! determined ([`diskmodel::Disk::plan`]), so read-completion times are known
@@ -50,7 +50,7 @@ mod reporting;
 mod slab;
 mod soa;
 
-use crate::config::{FaultConfig, Organization, SimConfig, SparingMode, SyncPolicy};
+use crate::config::{FaultConfig, SimConfig, SparingMode, SyncPolicy};
 use crate::mapping::{OrgMap, Run, StripeMode};
 use crate::report::{
     ClassReport, FaultReport, PhaseSample, PhaseWelfords, ReliabilityReport, SchedulerReport,
@@ -69,7 +69,6 @@ use std::collections::VecDeque;
 use tracegen::{AccessType, Trace};
 
 use faults::{FaultKind, FaultState};
-use planning::{OrgPlanner, Planner};
 
 /// What a disk operation is doing, which determines what happens when it
 /// completes.
@@ -315,81 +314,6 @@ pub struct PartStats {
     pub events_processed: u64,
 }
 
-/// Pre-built disk models for warm-starting construction. The per-disk
-/// state is a pure function of (seed, geometry, seek curve, disk index),
-/// so one pool built for the largest configuration serves every run that
-/// shares those parameters — smaller configurations use a prefix, and a
-/// run whose parameters differ falls back to cold construction (the pool
-/// is an optimization, never a correctness input).
-pub struct WarmDisks {
-    seed: u64,
-    geometry: diskmodel::DiskGeometry,
-    seek: diskmodel::SeekCurve,
-    disks: Vec<Disk>,
-}
-
-impl WarmDisks {
-    /// Build a pool of `total_disks` pristine drives for `cfg`'s seed,
-    /// geometry, and seek curve.
-    pub fn new(cfg: &SimConfig, total_disks: u32) -> WarmDisks {
-        let rot_ns = cfg.geometry.rotation_ns();
-        WarmDisks {
-            seed: cfg.seed,
-            geometry: cfg.geometry.clone(),
-            seek: cfg.seek,
-            disks: (0..total_disks as u64)
-                .map(|i| {
-                    Disk::new(
-                        cfg.geometry.clone(),
-                        cfg.seek,
-                        spindle_phase(cfg.seed, i, rot_ns),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Whether `cfg` would produce drives identical to this pool's — the
-    /// pool is reusable for any run agreeing on seed, geometry, and seek
-    /// curve (a *disk class*, in fleet terms), regardless of organization,
-    /// cache, or fault plan.
-    pub fn matches(&self, cfg: &SimConfig) -> bool {
-        self.seed == cfg.seed && self.geometry == cfg.geometry && self.seek == cfg.seek
-    }
-}
-
-/// One [`WarmDisks`] pool per disk class ([`WarmDisks::matches`]), each
-/// sized for the largest member that uses it. Built once before a sweep or
-/// fleet run and shared by reference across its workers.
-pub(crate) struct WarmPools(Vec<WarmDisks>);
-
-impl WarmPools {
-    /// Pool every `(config, total disks)` member; a member larger than its
-    /// class's pool so far rebuilds that pool at the larger size.
-    pub(crate) fn new<'c>(members: impl IntoIterator<Item = (&'c SimConfig, u32)>) -> WarmPools {
-        let mut pools: Vec<WarmDisks> = Vec::new();
-        for (cfg, size) in members {
-            match pools.iter_mut().find(|w| w.matches(cfg)) {
-                Some(w) if w.disks.len() >= size as usize => {}
-                Some(w) => *w = WarmDisks::new(cfg, size),
-                None => pools.push(WarmDisks::new(cfg, size)),
-            }
-        }
-        WarmPools(pools)
-    }
-
-    /// Build a simulator for `cfg`, warm-started from its class's pool
-    /// (cold when no pool matches). Byte-identical results either way.
-    pub(crate) fn simulator<'t>(
-        &self,
-        cfg: SimConfig,
-        trace: &'t Trace,
-    ) -> Result<Simulator<'t>, String> {
-        let warm = self.0.iter().find(|w| w.matches(&cfg));
-        Simulator::try_new_inner(cfg, trace, warm)
-    }
-}
-
 /// Opt-in request-class tagging: `of_record[i]` is the class of trace
 /// record `i` (the fleet layer assigns one class per tenant), with one
 /// response accumulator set per class, pushed at request completion in
@@ -404,7 +328,8 @@ struct ClassState {
 pub struct Simulator<'t> {
     cfg: SimConfig,
     trace: &'t Trace,
-    planner: Planner,
+    /// The organization's address map: every healthy and degraded plan.
+    map: OrgMap,
     engine: Engine<Ev>,
 
     // Per physical disk (global index = array·disks_per_array + local).
@@ -517,25 +442,6 @@ impl<'t> Simulator<'t> {
     /// Fallible constructor: validates `cfg` against `trace` and returns
     /// the configuration error instead of panicking.
     pub fn try_new(cfg: SimConfig, trace: &'t Trace) -> Result<Simulator<'t>, String> {
-        Self::try_new_inner(cfg, trace, None)
-    }
-
-    /// Like [`Simulator::try_new`], but reusing pre-built disk models from
-    /// `warm` when its parameters match `cfg` (cold construction otherwise).
-    /// Byte-identical results either way; only construction cost differs.
-    pub fn try_new_warm(
-        cfg: SimConfig,
-        trace: &'t Trace,
-        warm: &WarmDisks,
-    ) -> Result<Simulator<'t>, String> {
-        Self::try_new_inner(cfg, trace, Some(warm))
-    }
-
-    fn try_new_inner(
-        cfg: SimConfig,
-        trace: &'t Trace,
-        warm: Option<&WarmDisks>,
-    ) -> Result<Simulator<'t>, String> {
         cfg.validate()?;
         let n = cfg.data_disks_per_array;
         let bpd = cfg.geometry.blocks_per_disk();
@@ -543,28 +449,22 @@ impl<'t> Simulator<'t> {
             return Err("trace addresses exceed the physical disk size".into());
         }
         let arrays = cfg.arrays_for(trace.n_disks);
-        let planner = Planner::new(cfg.organization, n, bpd)?;
-        let dpa = planner.disks_per_array();
+        let map = OrgMap::new(cfg.organization, n, bpd);
+        let dpa = map.disks_per_array();
         let total_disks = (arrays * dpa) as usize;
 
         // Un-synchronized spindles: deterministic pseudo-random phases from
-        // the seed (splitmix64 over the disk index). A matching warm pool
-        // already holds exactly these drives; a pool built for a larger
-        // configuration serves smaller ones as a prefix.
+        // the seed (splitmix64 over the disk index).
         let rot_ns = cfg.geometry.rotation_ns();
-        let cold_disk = |i: usize| {
-            Disk::new(
-                cfg.geometry.clone(),
-                cfg.seek,
-                spindle_phase(cfg.seed, i as u64, rot_ns),
-            )
-        };
-        let disks: Vec<Disk> = match warm.filter(|w| w.matches(&cfg)) {
-            Some(w) => (0..total_disks)
-                .map(|i| w.disks.get(i).cloned().unwrap_or_else(|| cold_disk(i)))
-                .collect(),
-            None => (0..total_disks).map(cold_disk).collect(),
-        };
+        let disks: Vec<Disk> = (0..total_disks as u64)
+            .map(|i| {
+                Disk::new(
+                    cfg.geometry.clone(),
+                    cfg.seek,
+                    spindle_phase(cfg.seed, i, rot_ns),
+                )
+            })
+            .collect();
 
         let cache_blocks = cfg
             .cache
@@ -573,7 +473,7 @@ impl<'t> Simulator<'t> {
             Some(blocks) => (0..arrays).map(|_| NvCache::new(blocks)).collect(),
             None => Vec::new(),
         };
-        let parity_cached = planner.caches_parity(cfg.cache.is_some());
+        let parity_cached = cfg.organization.caches_parity(cfg.cache.is_some());
         let spools = if parity_cached {
             (0..arrays).map(|_| ParitySpool::new()).collect()
         } else {
@@ -767,7 +667,7 @@ impl<'t> Simulator<'t> {
             prev_chan_busy: vec![0; arrays as usize],
             ts,
             event_log,
-            planner,
+            map,
             cfg,
             trace,
         })

@@ -1,203 +1,21 @@
 //! Planning layer: organization-specific request decomposition.
 //!
-//! One [`OrgPlanner`] per organization turns logical addresses into
-//! per-disk operations — healthy and degraded reads, write plans, mirror
-//! and parity-peer lookups — backed by the organization's
-//! [`OrgMap`], plus the two policy questions the simulator used to answer
-//! by matching on [`Organization`] inline:
+//! The simulator holds its organization's [`OrgMap`] (`Simulator::map`),
+//! which turns logical addresses into per-disk runs — healthy and degraded
+//! reads, write plans, mirror and parity-peer lookups. This module turns
+//! those plans into disk operations and parity jobs. The two policy
+//! questions that are not address mapping — whether the organization
+//! survives a disk loss, and whether an NV cache spools its parity — are
+//! [`Organization::has_redundancy`] and [`Organization::caches_parity`] in
+//! `config.rs`, answered once at construction or from `cfg`.
 //!
-//! * [`OrgPlanner::has_redundancy`] — whether an exhausted retry budget can
-//!   escalate to a survivable disk failure (everything but `Base`).
-//! * [`OrgPlanner::caches_parity`] — whether an NV cache lets the
-//!   controller buffer parity updates in a spool instead of updating the
-//!   parity disk inline (RAID4's dedicated parity disk only, Section 4.2).
-//!
-//! [`Planner`] is the concrete dispatcher: one variant per organization,
-//! chosen once at construction through [`PLANNER_REGISTRY`] — a constructor
-//! table keyed by the organization's stable label, so every caller (the
-//! single-array simulator and each fleet virtual array alike) instantiates
-//! planners uniformly and adding an organization means adding one registry
-//! row. This module holds no `Organization::` dispatch match at all;
-//! simlint's `scheduler-seam` rule now rejects one here exactly as it does
-//! everywhere outside `config.rs`, `report.rs`, and `mapping/`.
+//! Neither this module nor any other simulator layer matches on
+//! [`Organization`]: simlint's `scheduler-seam` rule confines that dispatch
+//! to `config.rs`, `report.rs`, and `mapping/`, so adding an organization
+//! means one `Organization` variant plus one `OrgMap` variant.
 
 use super::*;
-use crate::mapping::{DegradedRead, WritePlan};
-
-/// Read/write/degraded planning for one organization.
-pub(super) trait OrgPlanner {
-    /// The organization's address map.
-    fn map(&self) -> &OrgMap;
-
-    /// Whether the organization survives a disk loss: gates the escalation
-    /// of an exhausted retry budget into a permanent failure.
-    fn has_redundancy(&self) -> bool;
-
-    /// Whether, given an NV cache, parity updates are buffered in a spool
-    /// instead of hitting the parity disk inline.
-    fn caches_parity(&self, cache_present: bool) -> bool {
-        let _ = cache_present;
-        false
-    }
-
-    // Delegations to the map, so call sites need only the planner.
-    fn disks_per_array(&self) -> u32 {
-        self.map().disks_per_array()
-    }
-    fn logical_capacity(&self) -> u64 {
-        self.map().logical_capacity()
-    }
-    fn read_runs(&self, laddr: u64, n: u32) -> Vec<Run> {
-        self.map().read_runs(laddr, n)
-    }
-    fn degraded_read_runs(&self, laddr: u64, n: u32, failed_disk: u32) -> DegradedRead {
-        self.map().degraded_read_runs(laddr, n, failed_disk)
-    }
-    fn write_plan(&self, laddr: u64, n: u32) -> WritePlan {
-        self.map().write_plan(laddr, n)
-    }
-    fn degraded_write_plan(&self, laddr: u64, n: u32, failed_disk: u32) -> WritePlan {
-        self.map().degraded_write_plan(laddr, n, failed_disk)
-    }
-    fn mirror_of(&self, run: Run) -> Option<Run> {
-        self.map().mirror_of(run)
-    }
-    fn peers_of(&self, failed_disk: u32, block: u64) -> Vec<(u32, u64)> {
-        self.map().peers_of(failed_disk, block)
-    }
-}
-
-pub(super) struct BasePlanner {
-    map: OrgMap,
-}
-
-impl OrgPlanner for BasePlanner {
-    fn map(&self) -> &OrgMap {
-        &self.map
-    }
-    fn has_redundancy(&self) -> bool {
-        false
-    }
-}
-
-pub(super) struct MirrorPlanner {
-    map: OrgMap,
-}
-
-impl OrgPlanner for MirrorPlanner {
-    fn map(&self) -> &OrgMap {
-        &self.map
-    }
-    fn has_redundancy(&self) -> bool {
-        true
-    }
-}
-
-pub(super) struct Raid5Planner {
-    map: OrgMap,
-}
-
-impl OrgPlanner for Raid5Planner {
-    fn map(&self) -> &OrgMap {
-        &self.map
-    }
-    fn has_redundancy(&self) -> bool {
-        true
-    }
-}
-
-pub(super) struct Raid4Planner {
-    map: OrgMap,
-}
-
-impl OrgPlanner for Raid4Planner {
-    fn map(&self) -> &OrgMap {
-        &self.map
-    }
-    fn has_redundancy(&self) -> bool {
-        true
-    }
-    /// The dedicated parity disk is RAID4's bottleneck; with an NV cache
-    /// the controller absorbs parity updates into a spool and drains them
-    /// as background elevator sweeps (Section 4.2).
-    fn caches_parity(&self, cache_present: bool) -> bool {
-        cache_present
-    }
-}
-
-pub(super) struct ParStripPlanner {
-    map: OrgMap,
-}
-
-impl OrgPlanner for ParStripPlanner {
-    fn map(&self) -> &OrgMap {
-        &self.map
-    }
-    fn has_redundancy(&self) -> bool {
-        true
-    }
-}
-
-/// The configured organization's planner, chosen once at construction.
-/// Enum dispatch keeps planning monomorphic (no vtable in the hot path)
-/// and the simulator free of `dyn`.
-pub(super) enum Planner {
-    Base(BasePlanner),
-    Mirror(MirrorPlanner),
-    Raid5(Raid5Planner),
-    Raid4(Raid4Planner),
-    ParStrip(ParStripPlanner),
-}
-
-macro_rules! each_planner {
-    ($self:expr, $p:ident => $body:expr) => {
-        match $self {
-            Planner::Base($p) => $body,
-            Planner::Mirror($p) => $body,
-            Planner::Raid5($p) => $body,
-            Planner::Raid4($p) => $body,
-            Planner::ParStrip($p) => $body,
-        }
-    };
-}
-
-/// One planner constructor, taking the already-built address map.
-type PlannerCtor = fn(OrgMap) -> Planner;
-
-/// The constructor table: organization label → planner constructor. The
-/// label comes from `Organization::label()` (config's own description of
-/// the variant), so this file never matches on the enum itself — lookup is
-/// data-driven and uniform for every caller, including fleet virtual
-/// arrays that mix organizations within one run.
-pub(super) const PLANNER_REGISTRY: &[(&str, PlannerCtor)] = &[
-    ("Base", |map| Planner::Base(BasePlanner { map })),
-    ("Mirror", |map| Planner::Mirror(MirrorPlanner { map })),
-    ("RAID5", |map| Planner::Raid5(Raid5Planner { map })),
-    ("RAID4", |map| Planner::Raid4(Raid4Planner { map })),
-    ("ParStrip", |map| Planner::ParStrip(ParStripPlanner { map })),
-];
-
-impl Planner {
-    pub(super) fn new(org: Organization, n: u32, blocks_per_disk: u64) -> Result<Planner, String> {
-        let label = org.label();
-        let Some((_, ctor)) = PLANNER_REGISTRY.iter().find(|(l, _)| *l == label) else {
-            return Err(format!("no planner registered for organization {label}"));
-        };
-        Ok(ctor(OrgMap::new(org, n, blocks_per_disk)))
-    }
-}
-
-impl OrgPlanner for Planner {
-    fn map(&self) -> &OrgMap {
-        each_planner!(self, p => p.map())
-    }
-    fn has_redundancy(&self) -> bool {
-        each_planner!(self, p => p.has_redundancy())
-    }
-    fn caches_parity(&self, cache_present: bool) -> bool {
-        each_planner!(self, p => p.caches_parity(cache_present))
-    }
-}
+use crate::mapping::WritePlan;
 
 impl<'t> Simulator<'t> {
     /// The failed disk's index within `array`, if one is currently failed.
@@ -210,8 +28,8 @@ impl<'t> Simulator<'t> {
     /// disk in this array.
     pub(super) fn plan_write(&self, array: u32, laddr: u64, n: u32) -> WritePlan {
         match self.failed_in(array) {
-            Some(f) => self.planner.degraded_write_plan(laddr, n, f),
-            None => self.planner.write_plan(laddr, n),
+            Some(f) => self.map.degraded_write_plan(laddr, n, f),
+            None => self.map.write_plan(laddr, n),
         }
     }
 
@@ -219,7 +37,7 @@ impl<'t> Simulator<'t> {
     /// breaking ties by arm distance ("shortest seek optimization") then
     /// disk id.
     pub(super) fn choose_replica(&self, array: u32, run: Run) -> Run {
-        let Some(alt) = self.planner.mirror_of(run) else {
+        let Some(alt) = self.map.mirror_of(run) else {
             return run;
         };
         // A failed pair member is never selected.
@@ -467,45 +285,5 @@ impl<'t> Simulator<'t> {
             attempts: 0,
             marks: OpMarks::default(),
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::ParityPlacement;
-
-    /// Every organization resolves to a registered constructor, and the
-    /// constructed variant matches the label it was looked up by.
-    #[test]
-    fn registry_covers_every_organization() {
-        let orgs = [
-            Organization::Base,
-            Organization::Mirror,
-            Organization::Raid5 { striping_unit: 1 },
-            Organization::Raid4 { striping_unit: 1 },
-            Organization::ParityStriping {
-                placement: ParityPlacement::Middle,
-            },
-        ];
-        assert_eq!(PLANNER_REGISTRY.len(), orgs.len());
-        for org in orgs {
-            let p = Planner::new(org, 2, 1000).unwrap();
-            let constructed = match p {
-                Planner::Base(_) => "Base",
-                Planner::Mirror(_) => "Mirror",
-                Planner::Raid5(_) => "RAID5",
-                Planner::Raid4(_) => "RAID4",
-                Planner::ParStrip(_) => "ParStrip",
-            };
-            assert_eq!(constructed, org.label());
-        }
-    }
-
-    /// Registry rows carry the labels config publishes, in a stable order.
-    #[test]
-    fn registry_keys_match_config_labels() {
-        let keys: Vec<&str> = PLANNER_REGISTRY.iter().map(|(l, _)| *l).collect();
-        assert_eq!(keys, ["Base", "Mirror", "RAID5", "RAID4", "ParStrip"]);
     }
 }

@@ -2,15 +2,14 @@
 //!
 //! Every experiment in the paper is a grid of independent simulations
 //! (organizations × array sizes × cache sizes × …). Runs share no mutable
-//! state, so they parallelize perfectly across threads; the immutable
-//! inputs — the parsed trace and a warm pool of calibrated disk models —
-//! are built once and shared by reference across every point instead of
+//! state, so they parallelize perfectly across threads; the parsed trace
+//! is built once and shared by reference across every point instead of
 //! being rebuilt per point.
 
 use crate::config::SimConfig;
 use crate::pool;
 use crate::report::SimReport;
-use crate::sim::WarmPools;
+use crate::sim::Simulator;
 use tracegen::Trace;
 
 /// One sweep point: a label plus its configuration and input trace (traces
@@ -47,25 +46,12 @@ impl<'a> NamedRun<'a> {
 /// come back by input index, so the output is bit-identical to a serial
 /// sweep in the same order.
 pub fn run_all(runs: &[NamedRun<'_>], threads: usize) -> Vec<(String, Result<SimReport, String>)> {
-    // Warm-start pools, one per disk class, each sized for the class's
-    // largest point. Invalid points (size 0 here) surface their error at
-    // construction.
-    let pools = WarmPools::new(runs.iter().map(|r| {
-        let size = if r.config.data_disks_per_array == 0 {
-            0
-        } else {
-            r.config.total_disks(r.trace.n_disks)
-        };
-        (&r.config, size)
-    }));
     pool::map(runs.len(), threads, |i| {
         let run = &runs[i];
         // Contain a panicking point to its own result slot; the worker
         // lives on to claim the remaining points.
         let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pools
-                .simulator(run.config.clone(), run.trace)
-                .map(|s| s.run())
+            Simulator::try_new(run.config.clone(), run.trace).map(|s| s.run())
         }))
         .unwrap_or_else(|payload| {
             let msg = payload
@@ -83,7 +69,6 @@ pub fn run_all(runs: &[NamedRun<'_>], threads: usize) -> Vec<(String, Result<Sim
 mod tests {
     use super::*;
     use crate::config::Organization;
-    use crate::sim::Simulator;
     use tracegen::SynthSpec;
 
     #[test]
@@ -152,74 +137,6 @@ mod tests {
                     "run {i} differs from serial at {threads} threads"
                 );
             }
-        }
-    }
-
-    /// The shared warm-disk pool is an optimization, never a correctness
-    /// input: a grid mixing seeds (so only some points match the pool's
-    /// parameters and the rest fall back to cold construction) must return
-    /// every point byte-identical to its own cold serial run.
-    #[test]
-    fn warm_started_points_match_cold_runs_across_mixed_seeds() {
-        let trace = SynthSpec::trace2().scaled(0.005).generate();
-        let mk = |org: Organization, seed: u64| {
-            let mut cfg = SimConfig::with_organization(org);
-            cfg.seed = seed;
-            cfg
-        };
-        let runs = vec![
-            NamedRun::new("base-s7", mk(Organization::Base, 7), &trace),
-            NamedRun::new("mirror-s7", mk(Organization::Mirror, 7), &trace),
-            NamedRun::new("base-s11", mk(Organization::Base, 11), &trace),
-            NamedRun::new(
-                "raid5-s11",
-                mk(Organization::Raid5 { striping_unit: 1 }, 11),
-                &trace,
-            ),
-        ];
-        let cold: Vec<String> = runs
-            .iter()
-            .map(|r| format!("{:#?}", Simulator::new(r.config.clone(), r.trace).run()))
-            .collect();
-        let out = run_all(&runs, 2);
-        for (i, (label, report)) in out.iter().enumerate() {
-            assert_eq!(
-                format!("{:#?}", report.as_ref().unwrap()),
-                cold[i],
-                "{label} diverged from its cold run"
-            );
-        }
-    }
-
-    /// Per-disk-class pools (seed × geometry × seek): a grid mixing seeds
-    /// *and* drive models warm-starts every class from its own pool, and
-    /// every point still comes back byte-identical to its cold serial run.
-    #[test]
-    fn per_class_pools_cover_mixed_geometry_grids() {
-        let trace = SynthSpec::trace2().scaled(0.005).generate();
-        let mk = |seed: u64, rpm: u32| {
-            let mut cfg = SimConfig::with_organization(Organization::Base);
-            cfg.seed = seed;
-            cfg.geometry.rpm = rpm;
-            cfg
-        };
-        let runs = vec![
-            NamedRun::new("s7-5400", mk(7, 5400), &trace),
-            NamedRun::new("s7-7200", mk(7, 7200), &trace),
-            NamedRun::new("s11-5400", mk(11, 5400), &trace),
-            NamedRun::new("s7-5400-b", mk(7, 5400), &trace),
-        ];
-        let cold: Vec<String> = runs
-            .iter()
-            .map(|r| format!("{:#?}", Simulator::new(r.config.clone(), r.trace).run()))
-            .collect();
-        let out = run_all(&runs, 2);
-        for (i, (label, report)) in out.iter().enumerate() {
-            assert_eq!(
-                format!("{:#?}", report.as_ref().unwrap()),
-                cold[i],
-                "{label} diverged from its cold run"
-            );
         }
     }
 

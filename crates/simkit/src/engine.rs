@@ -151,17 +151,6 @@ impl<E> Engine<E> {
         self.now = at;
         self.processed += 1;
     }
-
-    /// Advance the clock to `t` without processing events. Must not move
-    /// the clock backwards.
-    pub fn fast_forward(&mut self, t: SimTime) {
-        debug_assert!(
-            t >= self.now,
-            "fast_forward backwards: {t:?} < {:?}",
-            self.now
-        );
-        self.now = self.now.max(t);
-    }
 }
 
 #[cfg(test)]
@@ -234,13 +223,5 @@ mod tests {
         assert_eq!(eng.events_processed(), 1);
         assert_eq!(eng.next_event(), Some(Ev::A));
         assert_eq!(eng.events_processed(), 2);
-    }
-
-    #[test]
-    fn fast_forward_moves_clock_without_events() {
-        let mut eng: Engine<Ev> = Engine::new();
-        eng.fast_forward(SimTime::from_ms(3));
-        assert_eq!(eng.now(), SimTime::from_ms(3));
-        assert_eq!(eng.events_processed(), 0);
     }
 }

@@ -1,5 +1,5 @@
 use crate::config::Organization;
 
-pub fn needs_parity(planner: &dyn OrgPlanner, _org: Organization) -> bool {
-    planner.has_redundancy()
+pub fn can_escalate(org: Organization, map: &OrgMap) -> bool {
+    org.has_redundancy() && map.disks_per_array() > 1
 }

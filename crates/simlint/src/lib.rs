@@ -27,9 +27,10 @@
 //!    `DiskScheduler` implementations live only in `diskmodel`, and
 //!    `Organization::` variant dispatch appears only in `raidsim`'s
 //!    config, report, and mapping modules. Everything else must go
-//!    through the `OrgPlanner`/`DiskScheduler` traits, so a new
-//!    organization or discipline is one new impl — not a sweep for stray
-//!    `match` arms.
+//!    through the `mapping::OrgMap` the simulator holds, an
+//!    `Organization` method, or the `DiskScheduler` trait, so a new
+//!    organization is one `Organization` plus one `OrgMap` variant and a
+//!    new discipline is one impl — not a sweep for stray `match` arms.
 //! 4. **`par-safety`** — no shared mutable state between independent
 //!    units: synchronization primitives (`Mutex`, `RwLock`, `Condvar`,
 //!    atomics, `mpsc` channels, `static mut`, `unsafe impl`,
@@ -141,8 +142,8 @@ impl Rule {
             Rule::SchedulerSeam => {
                 "dispatch through the layer traits: implement DiskScheduler in \
                  crates/diskmodel, and match Organization:: only in raidsim's config, \
-                 report, or mapping modules (planner construction goes through the \
-                 label-keyed PLANNER_REGISTRY; add an OrgPlanner method instead)"
+                 report, or mapping modules (address questions go through the \
+                 simulator's OrgMap; add an OrgMap or Organization method instead)"
             }
             Rule::ParSafety => {
                 "independent units must not share mutable state: synchronization primitives \
@@ -458,12 +459,13 @@ fn is_fault_stream_boundary(path: &str) -> bool {
     path.ends_with("simkit/src/fault.rs") || path.ends_with("raidsim/src/sim/mod.rs")
 }
 
-/// May this file dispatch on `Organization::` variants? The planner seam
-/// confines organization knowledge to configuration, report labeling, and
-/// the block-address maps. The planning layer itself is not exempt: since
-/// planner construction moved behind the label-keyed constructor registry,
-/// `sim/planning.rs` holds no dispatch match, and a regression that
-/// reintroduces one is flagged like any other file.
+/// May this file dispatch on `Organization::` variants? The seam confines
+/// organization knowledge to configuration, report labeling, and the
+/// block-address maps (`mapping::OrgMap`, which the simulator holds
+/// directly). The planning layer itself is not exempt: `sim/planning.rs`
+/// turns `OrgMap` plans into disk ops without matching on the
+/// organization, and a regression that reintroduces a match is flagged
+/// like any other file.
 fn is_org_boundary(path: &str) -> bool {
     path.ends_with("raidsim/src/config.rs")
         || path.ends_with("raidsim/src/report.rs")
@@ -912,8 +914,8 @@ mod tests {
                 "{path} should be allowed to dispatch on Organization::"
             );
         }
-        // The planning layer lost its exemption when construction moved
-        // behind the label-keyed registry: a reintroduced match is flagged.
+        // The planning layer reads the organization only through its
+        // OrgMap, so it has no exemption: a reintroduced match is flagged.
         let d = analyze_source(
             "crates/raidsim/src/sim/planning.rs",
             src,

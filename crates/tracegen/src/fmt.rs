@@ -73,6 +73,9 @@ pub fn parse_trace(input: &str) -> Result<Trace, ParseError> {
     let mut header: Option<(u32, u64)> = None;
     let mut records: Vec<TraceRecord> = Vec::new();
     let mut now = SimTime::ZERO;
+    // Bounds inferred from the runs themselves, used when no header is
+    // present: one past the highest disk and the furthest run end.
+    let mut inferred: (u32, u64) = (1, 1);
 
     for (lineno, raw) in input.lines().enumerate() {
         let lineno = lineno + 1;
@@ -119,36 +122,51 @@ pub fn parse_trace(input: &str) -> Result<Trace, ParseError> {
                 message: "trailing fields after access type".into(),
             });
         }
+        let err = |message: String| ParseError {
+            line: lineno,
+            message,
+        };
+        let end = block
+            .checked_add(nblocks as u64)
+            .ok_or_else(|| err(format!("run end {block} + {nblocks} overflows u64")))?;
         // With a header, bounds-check each run where it appears so the
         // error names the offending line instead of failing in the final
         // whole-trace validation.
         if let Some((n_disks, bpd)) = header {
             if disk >= n_disks {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("disk {disk} out of range (header declares {n_disks} disks)"),
-                });
+                return Err(err(format!(
+                    "disk {disk} out of range (header declares {n_disks} disks)"
+                )));
             }
-            if block.saturating_add(nblocks as u64) > bpd {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!(
-                        "run [{block}, {}) past the end of the disk ({bpd} blocks)",
-                        block.saturating_add(nblocks as u64)
-                    ),
-                });
+            if end > bpd {
+                return Err(err(format!(
+                    "run [{block}, {end}) past the end of the disk ({bpd} blocks)"
+                )));
             }
         }
-        now += delta_ns;
+        let disk_count = disk
+            .checked_add(1)
+            .ok_or_else(|| err(format!("disk {disk} overflows the disk count")))?;
+        inferred = (inferred.0.max(disk_count), inferred.1.max(end));
+        now = now
+            .as_ns()
+            .checked_add(delta_ns)
+            .map(SimTime::from_ns)
+            .ok_or_else(|| err(format!("arrival time overflows u64 ns after +{delta_ns}")))?;
 
         // Coalesce a zero-delta contiguous continuation.
         if delta_ns == 0 {
             if let Some(last) = records.last_mut() {
                 if last.disk == disk
                     && last.kind == kind
-                    && last.block + last.nblocks as u64 == block
+                    && last.block.checked_add(last.nblocks as u64) == Some(block)
                 {
-                    last.nblocks += nblocks;
+                    last.nblocks = last.nblocks.checked_add(nblocks).ok_or_else(|| {
+                        err(format!(
+                            "multiblock run of {} + {nblocks} blocks overflows u32",
+                            last.nblocks
+                        ))
+                    })?;
                     continue;
                 }
             }
@@ -162,16 +180,7 @@ pub fn parse_trace(input: &str) -> Result<Trace, ParseError> {
         });
     }
 
-    let (n_disks, blocks_per_disk) = header.unwrap_or_else(|| {
-        // Infer bounds when no header is present.
-        let disks = records.iter().map(|r| r.disk + 1).max().unwrap_or(1);
-        let blocks = records
-            .iter()
-            .map(|r| r.block + r.nblocks as u64)
-            .max()
-            .unwrap_or(1);
-        (disks, blocks)
-    });
+    let (n_disks, blocks_per_disk) = header.unwrap_or(inferred);
     let trace = Trace {
         n_disks,
         blocks_per_disk,
@@ -284,6 +293,26 @@ mod tests {
             "\u{0} \u{0}",
         ] {
             let _ = parse_trace(bad);
+        }
+        // Sums past u32/u64 are errors naming the line, never a wrapped
+        // value: a coalesced run longer than u32::MAX blocks, a disk whose
+        // count overflows, a run end past u64::MAX, an arrival time past
+        // u64::MAX ns, and a coalesced run ending past u64::MAX under a
+        // maximal header.
+        for (bad, line) in [
+            ("0 0 0 4294967295 R\n0 0 4294967295 2 R", 2),
+            ("5 4294967295 0 1 R", 1),
+            ("5 0 18446744073709551615 1 R", 1),
+            ("18446744073709551615 0 0 1 R\n5 0 0 1 R", 2),
+            (
+                "# disks=1 blocks_per_disk=18446744073709551615\n\
+                 5 0 18446744073709551614 1 R\n0 0 18446744073709551615 1 R",
+                3,
+            ),
+        ] {
+            let e = parse_trace(bad);
+            assert!(e.is_err(), "{bad:?} parsed as {e:?}");
+            assert_eq!(e.unwrap_err().line, line, "{bad:?}");
         }
     }
 

@@ -88,7 +88,8 @@ impl Trace {
             if r.disk >= self.n_disks {
                 return Err(format!("record {i}: disk {} out of range", r.disk));
             }
-            if r.block + r.nblocks as u64 > self.blocks_per_disk {
+            let end = r.block.checked_add(r.nblocks as u64);
+            if !matches!(end, Some(end) if end <= self.blocks_per_disk) {
                 return Err(format!("record {i}: block run exceeds disk size"));
             }
         }
@@ -142,6 +143,11 @@ mod tests {
 
         let mut t = Trace::new(2, 100);
         t.records.push(rec(1, 0, 97, 4, AccessType::Read));
+        assert!(t.validate().unwrap_err().contains("exceeds disk size"));
+
+        // A run whose end wraps past u64::MAX exceeds any disk.
+        let mut t = Trace::new(1, u64::MAX);
+        t.records.push(rec(1, 0, u64::MAX - 1, 2, AccessType::Read));
         assert!(t.validate().unwrap_err().contains("exceeds disk size"));
 
         let mut t = Trace::new(2, 100);
